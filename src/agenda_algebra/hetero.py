@@ -8,7 +8,6 @@ agent).  Operators returning agendas always return lattice elements.
 
 from __future__ import annotations
 
-from . import partitions as pt
 from .coalitions import Coalition, InfluenceRelation
 from .errors import NotBoolean, NotInLattice, UnknownAgent
 
@@ -75,8 +74,7 @@ class HeteroStructure:
         return self._agent_agendas[name]
 
     def issues_above(self, agenda):
-        member = self.lattice.member_form(agenda)
-        return self.lattice.generators_above(member.partition)
+        return self.lattice.issues_above(agenda)
 
     def subst_atom(self, agent, issue_id):
         """Meet of the issues the agent would put in place of one issue.
@@ -116,7 +114,7 @@ def box_coalition(h, coalition):
             if name in coalition:
                 continue
             agenda = h.agent_agenda(name)
-            if not pt.refines(agenda.partition, issue.agenda.partition):
+            if not lattice.leq(agenda, issue.agenda):
                 picked.append(issue)
                 break
     return lattice._meet_of(picked)
@@ -128,7 +126,7 @@ def blacksquare(h, agenda):
     names = [
         name
         for name in h.agents.names
-        if pt.refines(h.agent_agenda(name).partition, member.partition)
+        if h.lattice.leq(h.agent_agenda(name), member)
     ]
     return h.agents.coalition(names)
 
@@ -142,7 +140,7 @@ def blacktriangleright(h, agenda):
     names = [
         name
         for name in h.agents.names
-        if pt.refines(member.partition, h.agent_agenda(name).partition)
+        if h.lattice.leq(member, h.agent_agenda(name))
     ]
     return h.agents.coalition(names)
 
@@ -173,11 +171,8 @@ def star(h, agenda1, agenda2):
     names = [
         name
         for name in h.agents.names
-        if pt.refines(
-            subst_transform(
-                h, h.agents.coalition([name]), e1
-            ).partition,
-            e2.partition,
+        if h.lattice.leq(
+            subst_transform(h, h.agents.coalition([name]), e1), e2
         )
     ]
     return h.agents.coalition(names)
@@ -190,9 +185,7 @@ def residual_second(h, coalition, agenda):
     winners = [
         e
         for e in h.lattice.elements
-        if pt.refines(
-            subst_transform(h, coalition, e).partition, target.partition
-        )
+        if h.lattice.leq(subst_transform(h, coalition, e), target)
     ]
     return h.lattice.meet(winners)
 
@@ -214,9 +207,8 @@ def brB(h, agenda1, agenda2):
     names = [
         name
         for name in h.agents.names
-        if pt.refines(
-            e1.partition,
-            br_transform(h, h.agents.coalition([name]), e2).partition,
+        if h.lattice.leq(
+            e1, br_transform(h, h.agents.coalition([name]), e2)
         )
     ]
     return h.agents.coalition(names)
@@ -229,9 +221,7 @@ def vartriangle(h, coalition, agenda):
     winners = [
         e
         for e in h.lattice.elements
-        if pt.refines(
-            source.partition, br_transform(h, coalition, e).partition
-        )
+        if h.lattice.leq(source, br_transform(h, coalition, e))
     ]
     return h.lattice.meet(winners)
 
@@ -274,7 +264,7 @@ class HeteroAlgebra:
         return x <= y
 
     def ia_leq(self, x, y):
-        return pt.refines(x.partition, y.partition)
+        return self.h.lattice.leq(x, y)
 
     def c_top(self):
         return self.h.agents.everyone()

@@ -1,14 +1,30 @@
 """Agenda lattices meet-generated by a chosen set of yes/no issues.
 
 The lattice holds the meets of arbitrary subsets of its generator issues
-plus the top element.  Joins inside the lattice are computed by generator
-filtering (meet of every generator above all arguments), never by the
-join of E(W), which may leave the lattice.
+plus the top element.  Every generator is a bipartition of the profiles,
+so each profile has a signature whose bit i says on which side of issue
+i it lies.  A set S of generators induces the partition "group profiles
+by sig & S", and the lattice elements are exactly the closed sets: the
+generators constant on every class of that partition (a closure system
+in the sense of formal concept analysis, Ganter & Wille 1999).  Each
+element is held as the bitmask of the generators above it, so
+
+* the meet of two elements is the closure of the union of their masks;
+* their join inside the lattice is the intersection (generator
+  filtering), never the join of E(W), which may leave the lattice;
+* the order is reverse inclusion.
+
+Masks are Python ints, so no generator count overflows them.  Partitions
+serve only the API edge: ``build_lattice`` builds each element's once,
+and member forms, joins and meets of issues group the profiles by their
+signature bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import partitions as pt
@@ -71,34 +87,150 @@ class IssueSet:
 
 
 class AgendaLattice:
-    """The meet-closure of an issue set, materialized when small enough."""
+    """The meet-closure of an issue set, materialized when small enough.
 
-    def __init__(self, issue_set, elements=None):
+    Element tables (masks, positions) are filled in by ``build_lattice``;
+    a lazy lattice answers ``member_form``, ``d_join`` and ``leq`` from
+    the profile signatures alone.
+    """
+
+    def __init__(self, issue_set):
         self.issue_set = issue_set
         self.n = issue_set.n
+        self._ids = tuple(issue.id for issue in issue_set)
+        self._bit = {issue_id: 1 << i for i, issue_id in enumerate(self._ids)}
+        self._full = (1 << len(self._ids)) - 1
+        sig = [0] * self.n
+        for i, issue in enumerate(issue_set):
+            for x in issue.agenda.partition.blocks[1]:
+                sig[x] |= 1 << i
+        self._sig = sig
+        self._classes = {}
+        for x, s in enumerate(sig):
+            self._classes.setdefault(s, []).append(x)
         self.top = Agenda(
             pt.Partition.single_block(self.n), MeetOfIssues(())
         )
-        self.bottom = self._meet_of(list(issue_set))
-        self.elements = elements
+        self.bottom = Agenda(self._group(self._full), self._label(self._full))
+        self.elements = None
+        self._masks = ()        # closed set of each listed element
+        self._position = {}     # closed set -> index into elements
+        self._by_blocks = {}    # Partition.block_of -> index into elements
+
+    # -- generator bitmasks ------------------------------------------------
+
+    def _group(self, mask):
+        """Partition of the profiles by their signature bits in mask."""
+        groups = {}
+        for s, members in self._classes.items():
+            groups.setdefault(s & mask, []).extend(members)
+        return pt.Partition(self.n, groups.values())
+
+    def _label(self, mask):
+        return MeetOfIssues(tuple(sorted(i.id for i in self._issues(mask))))
+
+    def _closure(self, mask):
+        """Generators constant on every class of "group by sig & mask"."""
+        first = {}
+        varying = 0
+        for s in self._classes:
+            varying |= s ^ first.setdefault(s & mask, s)
+        return self._full & ~varying
+
+    def _meet_mask(self, a, b):
+        """Closed set of the meet of two elements given by closed sets."""
+        union = a | b
+        return union if union in (a, b) else self._closure(union)
+
+    def _above(self, part):
+        """Generators constant on every block of the partition."""
+        sig = self._sig
+        varying = 0
+        for block in part.blocks:
+            first = sig[block[0]]
+            for x in block:
+                varying |= sig[x] ^ first
+        return self._full & ~varying
+
+    def _mask_of(self, agenda):
+        """Closed set of a lattice member: the generators above it."""
+        part = agenda.partition
+        if part.n != self.n:
+            raise GroundMismatch("agenda lives on a different ground set")
+        if self.materialized:
+            index = self._by_blocks.get(part.block_of)
+            if index is not None:
+                return self._masks[index]
+        else:
+            mask = self._above(part)
+            keys = {self._sig[block[0]] & mask for block in part.blocks}
+            if len(keys) == len(part.blocks):
+                return mask
+        raise NotInLattice(
+            f"agenda {agenda.label()} is not a meet of the issue set"
+        )
+
+    def _element(self, mask, part=None):
+        """Member form of a closed set, labelled by every generator in it."""
+        if not mask:
+            return self.top
+        if part is None:
+            part = self._group(mask)
+        return Agenda(part, self._label(mask))
+
+    def _materialize(self, masks, generator_masks):
+        """Fill the element tables from the closed sets.
+
+        Elements are ordered by block count, then label.  A generator is
+        listed under its own id, the first in issue order when several
+        generators share a partition; every other element is listed under
+        all the generators above it.
+        """
+        own_id = {}
+        for issue_id, mask in zip(self._ids, generator_masks):
+            own_id.setdefault(mask, issue_id)
+        rows = []
+        for mask in masks:
+            listed = self._element(mask)
+            if mask in own_id:
+                listed = Agenda(
+                    listed.partition, MeetOfIssues((own_id[mask],))
+                )
+            rows.append(
+                (len(listed.partition.blocks), listed.label(), mask, listed)
+            )
+        rows.sort(key=lambda row: row[:2])
+        self.elements = tuple(row[3] for row in rows)
+        self._masks = tuple(row[2] for row in rows)
+        self._position = {mask: k for k, mask in enumerate(self._masks)}
+        self._by_blocks = {
+            e.partition.block_of: k for k, e in enumerate(self.elements)
+        }
+
+    # -- lattice operations ------------------------------------------------
 
     def _meet_of(self, issues):
+        """Meet of the given issues, labelled by exactly those issues."""
         if not issues:
             return self.top
-        part = pt.meet_all([i.agenda.partition for i in issues])
-        return Agenda(part, MeetOfIssues(tuple(sorted(i.id for i in issues))))
+        mask = 0
+        for issue in issues:
+            mask |= self._bit[issue.id]
+        label = MeetOfIssues(tuple(sorted(i.id for i in issues)))
+        return Agenda(self._group(mask), label)
+
+    def _issues(self, mask):
+        return [
+            issue for i, issue in enumerate(self.issue_set) if mask >> i & 1
+        ]
 
     @property
     def materialized(self):
         return self.elements is not None
 
-    def generators_above(self, part):
-        """Issues whose partition lies above the given one."""
-        return [
-            issue
-            for issue in self.issue_set
-            if pt.refines(part, issue.agenda.partition)
-        ]
+    def issues_above(self, agenda):
+        """Issues above a lattice member, in issue-set order."""
+        return self._issues(self._mask_of(agenda))
 
     def member_form(self, agenda):
         """Canonical lattice element equal to the agenda, if it is one.
@@ -106,20 +238,11 @@ class AgendaLattice:
         An agenda belongs to the lattice iff it equals the meet of the
         generators above it (the top element always belongs).
         """
-        part = agenda.partition
-        if part.n != self.n:
-            raise GroundMismatch("agenda lives on a different ground set")
-        above = self.generators_above(part)
-        candidate = self._meet_of(above)
-        if candidate.partition != part:
-            raise NotInLattice(
-                f"agenda {agenda.label()} is not a meet of the issue set"
-            )
-        return candidate
+        return self._element(self._mask_of(agenda), agenda.partition)
 
     def __contains__(self, agenda):
         try:
-            self.member_form(agenda)
+            self._mask_of(agenda)
             return True
         except NotInLattice:
             return False
@@ -134,18 +257,18 @@ class AgendaLattice:
 
     def d_join(self, agendas):
         """Least upper bound inside the lattice by generator filtering."""
-        agendas = [self.member_form(a) for a in agendas]
-        if not agendas:
+        masks = [self._mask_of(a) for a in agendas]
+        if not masks:
             return self.bottom
-        shared = [
-            issue
-            for issue in self.issue_set
-            if all(
-                pt.refines(a.partition, issue.agenda.partition)
-                for a in agendas
-            )
-        ]
-        return self._meet_of(shared)
+        return self._element(functools.reduce(operator.and_, masks))
+
+    def leq(self, a, b):
+        """Order of lattice members: every generator above b is above a.
+
+        Both arguments must be lattice members; any other agenda raises
+        NotInLattice (GroundMismatch when it lives on another ground set).
+        """
+        return not self._mask_of(b) & ~self._mask_of(a)
 
     # -- enumeration-backed structure ------------------------------------
 
@@ -155,126 +278,117 @@ class AgendaLattice:
                 "materialize the lattice first (generator count within cap)"
             )
 
-    def leq(self, a, b):
-        return pt.refines(a.partition, b.partition)
-
     def is_distributive(self):
-        """Scan all triples for x & (y | z) == (x & y) | (x & z).
+        """Decide x & (y | z) == (x & y) | (x & z) for all triples.
 
-        A finite lattice is distributive exactly when no triple violates
-        the law (equivalently, when it embeds no pentagon or diamond).
+        A finite lattice is distributive iff every meet-irreducible element
+        is meet-prime (Davey & Priestley, Introduction to Lattices and
+        Order, ch. 10).  Here the meet-irreducibles are the generators:
+        each is a coatom of E(W), and any other element is the meet of the
+        generators strictly above it.  So the verdict is
+        ``issues_meet_prime``; only when that fails are the triples
+        scanned, in ``itertools.product`` order, for the first witness.
         Returns (True, None) or (False, witness_triple).
         """
         self._require_materialized()
-        elems = self.elements
-        join_cache = {}
-
-        def dj(a, b):
-            key = (a.partition, b.partition)
-            if key not in join_cache:
-                join_cache[key] = self.d_join([a, b])
-            return join_cache[key]
-
-        for x, y, z in itertools.product(elems, repeat=3):
-            lhs = pt.meet(x.partition, dj(y, z).partition)
-            rhs = self.d_join(
-                [
-                    Agenda(pt.meet(x.partition, y.partition)),
-                    Agenda(pt.meet(x.partition, z.partition)),
-                ]
-            ).partition
-            if lhs != rhs:
-                return False, (x, y, z)
+        if self.issues_meet_prime():
+            return True, None
+        masks, position = self._masks, self._position
+        join = [[position[a & b] for b in masks] for a in masks]
+        pairs = list(itertools.product(range(len(masks)), repeat=2))
+        for x, mx in enumerate(masks):
+            meet_x = [position[self._meet_mask(mx, b)] for b in masks]
+            for y, z in pairs:
+                # x & (y | z) against (x & y) | (x & z)
+                if meet_x[join[y][z]] != join[meet_x[y]][meet_x[z]]:
+                    elems = self.elements
+                    return False, (elems[x], elems[y], elems[z])
         return True, None
 
     def is_complemented(self):
         """Every element has a complement (meet bottom, join top)."""
         self._require_materialized()
-        for a in self.elements:
-            if not any(
-                pt.meet(a.partition, b.partition) == self.bottom.partition
-                and self.d_join([a, b]).partition == self.top.partition
-                for b in self.elements
-            ):
-                return False
-        return True
+        masks, full = self._masks, self._full
+        return all(
+            any(not a & b and self._meet_mask(a, b) == full for b in masks)
+            for a in masks
+        )
 
     def issues_meet_prime(self):
         """Are all generators meet-prime over meets of element pairs?
 
         Checked, not assumed: several distribution laws only hold when a
-        generator above a meet is above one of the meetands.
+        generator above a meet is above one of the meetands.  The closed
+        sets lacking generator i are closed under pairwise meets exactly
+        when the meet of all of them, the closure of their union, still
+        lacks i.
         """
         self._require_materialized()
-        for issue in self.issue_set:
-            gp = issue.agenda.partition
-            for a, b in itertools.combinations_with_replacement(
-                self.elements, 2
-            ):
-                met = pt.meet(a.partition, b.partition)
-                if pt.refines(met, gp) and not (
-                    pt.refines(a.partition, gp)
-                    or pt.refines(b.partition, gp)
-                ):
-                    return False
+        for i in range(len(self._ids)):
+            bit = 1 << i
+            union = 0
+            for mask in self._masks:
+                if not mask & bit:
+                    union |= mask
+            if self._closure(union) & bit:
+                return False
         return True
 
     def covers(self):
-        """Covering pairs (lower, upper) of the materialized order."""
+        """Covering pairs (lower, upper) of the materialized order.
+
+        The lower covers of an element are the minimal closed sets among
+        closure(C | generator) over the generators outside its set C.
+        """
         self._require_materialized()
+        uppers = [[] for _ in self._masks]
+        for k, mask in enumerate(self._masks):
+            below = {
+                self._closure(mask | 1 << i)
+                for i in range(len(self._ids))
+                if not mask >> i & 1
+            }
+            for lower in below:
+                if not any(
+                    other != lower and not other & ~lower for other in below
+                ):
+                    uppers[self._position[lower]].append(k)
         elems = self.elements
-        pairs = []
-        for a, b in itertools.permutations(elems, 2):
-            if a.partition == b.partition or not self.leq(a, b):
-                continue
-            if not any(
-                c.partition != a.partition
-                and c.partition != b.partition
-                and self.leq(a, c)
-                and self.leq(c, b)
-                for c in elems
-            ):
-                pairs.append((a, b))
-        return pairs
+        return [
+            (elems[a], elems[b])
+            for a in range(len(elems))
+            for b in sorted(uppers[a])
+        ]
 
 
 def build_lattice(issue_set, cap=MATERIALIZE_CAP):
-    """Meet-close the issue set; stay lazy above the generator cap.
+    """Enumerate the closed generator sets; stay lazy above the cap.
 
-    Materialization iterates pairwise meets to a fixed point, so its cost
-    tracks the number of distinct elements rather than the number of
-    generator subsets.
+    Breadth-first from the empty set (the top element), every closed set
+    C is extended by each generator outside it, as closure(C | generator),
+    so the cost tracks the number of elements times the number of
+    distinct generators.  Each element's partition is built once.
     """
     lattice = AgendaLattice(issue_set)
     if len(issue_set) > cap:
         return lattice
-    seen = {lattice.top.partition: lattice.top}
-    frontier = []
-    for issue in issue_set:
-        part = issue.agenda.partition
-        if part not in seen:
-            agenda = Agenda(part, MeetOfIssues((issue.id,)))
-            seen[part] = agenda
-            frontier.append(agenda)
+    closure = lattice._closure
+    # a single generator closes to every generator sharing its partition
+    generator_masks = [closure(1 << i) for i in range(len(issue_set))]
+    steps = list(dict.fromkeys(generator_masks))
+    found = {0}
+    frontier = [0]
     while frontier:
         fresh = []
-        for a in frontier:
-            for b in list(seen.values()):
-                part = pt.meet(a.partition, b.partition)
-                if part not in seen:
-                    ids = tuple(
-                        sorted(
-                            i.id for i in lattice.generators_above(part)
-                        )
-                    )
-                    agenda = Agenda(part, MeetOfIssues(ids))
-                    seen[part] = agenda
-                    fresh.append(agenda)
+        for mask in frontier:
+            for step in steps:
+                if step & ~mask:
+                    closed = closure(mask | step)
+                    if closed not in found:
+                        found.add(closed)
+                        fresh.append(closed)
         frontier = fresh
-    ordered = sorted(
-        seen.values(), key=lambda a: (len(a.partition.blocks), a.label())
-    )
-    lattice.elements = tuple(ordered)
+    lattice._materialize(found, generator_masks)
     return lattice
 
 

@@ -393,14 +393,18 @@ class Preorder:
         return bool((mutual == np.eye(self.n, dtype=bool)).all())
 
 
+# Relation composition is a boolean matrix product: numpy's bool @ bool
+# is an OR of ANDs, where an integer product would count paths and wrap.
+
+
 def _is_transitive(m):
-    return not ((m.astype(np.uint8) @ m.astype(np.uint8)) > 0)[~m].any()
+    return not (m @ m)[~m].any()
 
 
 def _transitive_closure(m):
     m = m.copy()
     while True:
-        step = ((m.astype(np.uint8) @ m.astype(np.uint8)) > 0) | m
+        step = (m @ m) | m
         if (step == m).all():
             return m
         m = step
@@ -452,13 +456,12 @@ def compatibility(e, pre):
     """Check e∘≤∘e ⊆ ≤, and additionally e_≤ ⊆ e for the strong form."""
     if e.n != pre.n:
         raise GroundMismatch(f"ground sets differ: {e.n} vs {pre.n}")
-    em = e.as_matrix().astype(np.uint8)
-    lm = pre.holds.astype(np.uint8)
-    composed = ((em @ lm @ em) > 0)
+    em = e.as_matrix()
+    composed = em @ pre.holds @ em
     if composed[~pre.holds].any():
         return Compatibility.NONE
     mutual = pre.holds & pre.holds.T
-    if mutual[~e.as_matrix()].any():
+    if mutual[~em].any():
         return Compatibility.COMPATIBLE
     return Compatibility.STRONGLY_COMPATIBLE
 

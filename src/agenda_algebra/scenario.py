@@ -202,11 +202,14 @@ def load_scenario(text):
             for d in dst:
                 substitution.append((agent, s, d))
 
+    # a fresh dict: the parsed source keeps its own ids as written
+    extra_agendas = {}
     for name, ids in (options.extra_agendas or {}).items():
         flat = []
         for issue_id in ids:
             flat.extend(expand(issue_id, f"named agenda {name}"))
-        options.extra_agendas[name] = flat
+        extra_agendas[name] = flat
+    options.extra_agendas = extra_agendas
 
     if problems:
         raise ValidationError(problems)

@@ -356,3 +356,43 @@ def test_transitivity_warning_on_degenerate_base():
     assert any(
         issubclass(w.category, pt.TransitivityWarning) for w in caught
     )
+
+
+# -- relation products must not count paths ----------------------------------
+
+
+def fan_relation():
+    """258 points: 0 -> k -> 257 for k = 1..256, and no edge 0 -> 257.
+
+    There are 256 paths from 0 to 257, so a product that counts paths in
+    eight bits reads zero there.
+    """
+    m = np.eye(258, dtype=bool)
+    m[0, 1:257] = True
+    m[1:257, 257] = True
+    return m
+
+
+def test_is_transitive_with_256_paths():
+    assert not pt._is_transitive(fan_relation())
+
+
+def test_transitive_closure_with_256_paths():
+    closed = pt._transitive_closure(fan_relation())
+    assert closed[0, 257]
+    assert pt._is_transitive(closed)
+
+
+def test_compatibility_with_256_related_pairs():
+    """The one-block partition is compatible only with the total preorder.
+
+    14 x 16 strict pairs plus 32 reflexive ones make 256 pairs, which
+    every entry of e∘≤∘e counts when e is a single block.
+    """
+    m = np.eye(32, dtype=bool)
+    m[:14, 16:] = True
+    pre = pt.Preorder(m)
+    assert int(pre.holds.sum()) == 256
+    assert pt.compatibility(
+        pt.Partition.single_block(32), pre
+    ) is pt.Compatibility.NONE

@@ -121,6 +121,23 @@ def test_report_round_trip_and_determinism():
         assert report1 == report2 == report3
 
 
+def test_document_is_the_parsed_source():
+    """Loading expands sumset: ids for the analysis, never in the document."""
+    for name in BUNDLED:
+        text = scenario_text(name)
+        scenario = load_scenario(text)
+        assert scenario.document == json.loads(text)
+        reparsed = load_scenario(serialize_scenario(scenario))
+        assert analyze(reparsed).to_json() == analyze(scenario).to_json()
+    car = load_scenario(scenario_text("car"))
+    assert car.document["options"]["extra_agendas"] == {
+        "fuel_only": ["sumset:f"],
+        "all_parameters": ["sumset:f,m,p,s,t"],
+    }
+    assert car.options.extra_agendas["fuel_only"] == ["sum:f<=0"]
+    assert len(car.options.extra_agendas["all_parameters"]) == 5
+
+
 def test_aggregate_matches_term_evaluation():
     """The reported aggregate equals the evaluated two-sorted term."""
     from agenda_algebra.hetero import HeteroAlgebra
