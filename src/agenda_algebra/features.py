@@ -156,15 +156,7 @@ class FeatureSpace:
         )
         self.index = {p: i for i, p in enumerate(self.profiles)}
         self.n = len(self.profiles)
-        self.dominance = self._dominance()
-
-    def _dominance(self):
-        n = self.n
-        holds = np.ones((n, n), dtype=bool)
-        for k, (_, scale) in enumerate(self.params):
-            col = np.array([p[k] for p in self.profiles])
-            holds &= scale._leq[np.ix_(col, col)]
-        return pt.Preorder(holds, validate=False)
+        self.dominance = rule_preorder(self, TOTAL_DOMINANCE, self.names)
 
     def profile_id(self, assignment):
         """Id of the profile given as {parameter name: value label}."""
@@ -373,17 +365,10 @@ class Decision:
     verdict: str
 
 
-PREFERS_FIRST = "PrefersFirst"
-PREFERS_SECOND = "PrefersSecond"
-TIE = "Tie"
-NO_DECISION = "NoDecision"
-
-_FROM_PAIR_ORDER = {
-    pt.PairOrder.PREFERS_U: PREFERS_FIRST,
-    pt.PairOrder.PREFERS_W: PREFERS_SECOND,
-    pt.PairOrder.TIE: TIE,
-    pt.PairOrder.INCOMPARABLE: NO_DECISION,
-}
+PREFERS_FIRST = pt.PairOrder.PREFERS_U.value
+PREFERS_SECOND = pt.PairOrder.PREFERS_W.value
+TIE = pt.PairOrder.TIE.value
+NO_DECISION = pt.PairOrder.INCOMPARABLE.value
 
 
 def decide(space, rule, agenda, first, second):
@@ -404,7 +389,7 @@ def decide(space, rule, agenda, first, second):
             )
         if isinstance(desc, ProjectionDescriptor):
             pre = rule_preorder(space, rule, desc.params)
-            return Decision(_verdict(pre, first, second))
+            return _decision(pre.leq(second, first), pre.leq(first, second))
     elif rule == SUM:
         if isinstance(desc, ProjectionDescriptor):
             raise IncompatibleRule(
@@ -412,29 +397,22 @@ def decide(space, rule, agenda, first, second):
             )
         if isinstance(desc, SumDescriptor):
             pre = rule_preorder(space, rule, desc.params)
-            return Decision(_verdict(pre, first, second))
+            return _decision(pre.leq(second, first), pre.leq(first, second))
         if isinstance(desc, ThresholdDescriptor):
-            a = space.sum_score(first, desc.params) <= desc.k
-            b = space.sum_score(second, desc.params) <= desc.k
-            if a == b:
-                return Decision(TIE)
-            return Decision(PREFERS_FIRST if b else PREFERS_SECOND)
+            # the class above the threshold sits above the one below it
+            high_first = space.sum_score(first, desc.params) > desc.k
+            high_second = space.sum_score(second, desc.params) > desc.k
+            return _decision(
+                high_second <= high_first, high_first <= high_second
+            )
     else:
         raise IncompatibleRule(f"unknown winning rule {rule!r}")
     order = pt.prefers(agenda.partition, space.dominance, first, second)
-    return Decision(_FROM_PAIR_ORDER[order])
+    return Decision(order.value)
 
 
-def _verdict(pre, first, second):
-    ab = pre.leq(second, first)
-    ba = pre.leq(first, second)
-    if ab and ba:
-        return TIE
-    if ab:
-        return PREFERS_FIRST
-    if ba:
-        return PREFERS_SECOND
-    return NO_DECISION
+def _decision(second_below, first_below):
+    return Decision(pt.pair_order(second_below, first_below).value)
 
 
 def sum_decomposition_check(space, names):
@@ -477,12 +455,6 @@ class EquivarianceWitness:
             and self.sum_on_u_prime_is_diagonal
             and self.contradiction
         )
-
-
-def _restrict(relation_pairs, members):
-    return frozenset(
-        (a, b) for a, b in relation_pairs if a in members and b in members
-    )
 
 
 def equivariance_witness_check(space):

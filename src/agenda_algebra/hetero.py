@@ -3,13 +3,19 @@
 Everything here is parametrized by a HeteroStructure: an agent set, an
 agenda lattice, and the three relations (influence between agents,
 relevance of issues to agents, substitution of issues by issues per
-agent).  Operators returning agendas always return lattice elements.
+agent).  The structure is the frame (agents, issue ids, I, R, S) read
+through its lattice, so the operators are those of the frame's complex
+algebra, ``FrameAlgebra``, given the lattice closure.  ``HeteroAlgebra``
+carries lattice members and coalitions to and from its bitmasks, and
+operators returning agendas always return lattice elements.
 """
 
 from __future__ import annotations
 
 from .coalitions import Coalition, InfluenceRelation
 from .errors import NotBoolean, NotInLattice, UnknownAgent
+from .features import Agenda, MeetOfIssues
+from .logic.frames import FrameAlgebra, RelationalStructure
 
 
 class RelevanceRelation:
@@ -58,14 +64,20 @@ class HeteroStructure:
                     )
             if agent not in agents.position:
                 raise UnknownAgent(f"substitution names unknown agent {agent!r}")
+        by_id = lattice.issue_set.by_id
         self._agent_agendas = {
-            name: self._meet_of_ids(self.relevance.issues_for(name))
+            name: lattice._meet_of(
+                [by_id(i) for i in self.relevance.issues_for(name)]
+            )
             for name in agents.names
         }
-
-    def _meet_of_ids(self, issue_ids):
-        issues = [self.lattice.issue_set.by_id(i) for i in issue_ids]
-        return self.lattice._meet_of(issues)
+        self.frame = RelationalStructure(
+            C=agents.names,
+            D=tuple(issue.id for issue in lattice.issue_set),
+            I=self.influence.pairs,
+            R=self.relevance.pairs,
+            S=self.substitution.triples,
+        )
 
     def agent_agenda(self, name):
         """The meet of the issues relevant to one agent (top if none)."""
@@ -73,31 +85,18 @@ class HeteroStructure:
             raise UnknownAgent(f"unknown agent {name!r}")
         return self._agent_agendas[name]
 
-    def issues_above(self, agenda):
-        return self.lattice.issues_above(agenda)
 
-    def subst_atom(self, agent, issue_id):
-        """Meet of the issues the agent would put in place of one issue.
-
-        The empty meet is the top agenda: an agent with no replacement
-        preference for an issue contributes no constraint.
-        """
-        return self._meet_of_ids(self.substitution.replacements(agent, issue_id))
-
-
-# -- primitive unary operators -------------------------------------------
+# -- the operators, one call each on the complex algebra ---------------------
 
 
 def common_agenda(h, coalition):
     """Issues every member finds relevant: lattice join of member agendas."""
-    parts = [h.agent_agenda(name) for name in coalition.members()]
-    return h.lattice.d_join(parts)
+    return HeteroAlgebra(h).diamond(coalition)
 
 
 def distributed_agenda(h, coalition):
     """Issues some member finds relevant: meet of member agendas."""
-    parts = [h.agent_agenda(name) for name in coalition.members()]
-    return h.lattice.meet(parts)
+    return HeteroAlgebra(h).rhd(coalition)
 
 
 def box_coalition(h, coalition):
@@ -122,13 +121,7 @@ def box_coalition(h, coalition):
 
 def blacksquare(h, agenda):
     """Largest coalition whose every member finds all issues of e relevant."""
-    member = h.lattice.member_form(agenda)
-    names = [
-        name
-        for name in h.agents.names
-        if h.lattice.leq(h.agent_agenda(name), member)
-    ]
-    return h.agents.coalition(names)
+    return HeteroAlgebra(h).blacksquare(agenda)
 
 
 def blacktriangleright(h, agenda):
@@ -136,16 +129,7 @@ def blacktriangleright(h, agenda):
 
     Each member's own agenda supports only issues that e supports.
     """
-    member = h.lattice.member_form(agenda)
-    names = [
-        name
-        for name in h.agents.names
-        if h.lattice.leq(member, h.agent_agenda(name))
-    ]
-    return h.agents.coalition(names)
-
-
-# -- substitution operators ------------------------------------------------
+    return HeteroAlgebra(h).blacktriangleright(agenda)
 
 
 def subst_transform(h, coalition, agenda):
@@ -155,116 +139,97 @@ def subst_transform(h, coalition, agenda):
     matching the worked aggregate computations: a vacuous preference does
     not drag the shared view up to the top agenda.
     """
-    member = h.lattice.member_form(agenda)
-    pieces = []
-    for name in coalition.members():
-        for issue in h.issues_above(member):
-            if h.substitution.replacements(name, issue.id):
-                pieces.append(h.subst_atom(name, issue.id))
-    return h.lattice.d_join(pieces)
+    return HeteroAlgebra(h).pdra(coalition, agenda)
 
 
 def star(h, agenda1, agenda2):
     """Largest coalition whose transform of e1 refines e2."""
-    e1 = h.lattice.member_form(agenda1)
-    e2 = h.lattice.member_form(agenda2)
-    names = [
-        name
-        for name in h.agents.names
-        if h.lattice.leq(
-            subst_transform(h, h.agents.coalition([name]), e1), e2
-        )
-    ]
-    return h.agents.coalition(names)
+    return HeteroAlgebra(h).star(agenda1, agenda2)
 
 
 def residual_second(h, coalition, agenda):
     """Meet over all lattice elements whose transform refines e."""
-    h.lattice._require_materialized()
-    target = h.lattice.member_form(agenda)
-    winners = [
-        e
-        for e in h.lattice.elements
-        if h.lattice.leq(subst_transform(h, coalition, e), target)
-    ]
-    return h.lattice.meet(winners)
+    return HeteroAlgebra(h).eqless(coalition, agenda)
 
 
 def br_transform(h, coalition, agenda):
     """Distributed transformed view: meet of member replacements."""
-    member = h.lattice.member_form(agenda)
-    pieces = []
-    for name in coalition.members():
-        for issue in h.issues_above(member):
-            pieces.append(h.subst_atom(name, issue.id))
-    return h.lattice.meet(pieces)
+    return HeteroAlgebra(h).br(coalition, agenda)
 
 
 def brB(h, agenda1, agenda2):
     """Largest coalition whose distributed transform of e2 lies above e1."""
-    e1 = h.lattice.member_form(agenda1)
-    e2 = h.lattice.member_form(agenda2)
-    names = [
-        name
-        for name in h.agents.names
-        if h.lattice.leq(
-            e1, br_transform(h, h.agents.coalition([name]), e2)
-        )
-    ]
-    return h.agents.coalition(names)
+    return HeteroAlgebra(h).brB(agenda1, agenda2)
 
 
 def vartriangle(h, coalition, agenda):
     """Residual of the distributed transform in its agenda coordinate."""
-    h.lattice._require_materialized()
-    source = h.lattice.member_form(agenda)
-    winners = [
-        e
-        for e in h.lattice.elements
-        if h.lattice.leq(source, br_transform(h, coalition, e))
-    ]
-    return h.lattice.meet(winners)
+    return HeteroAlgebra(h).triangle(coalition, agenda)
 
 
 class HeteroAlgebra:
-    """Adapter exposing a HeteroStructure through the term-eval protocol.
+    """A HeteroStructure through the term-eval protocol.
 
+    The heterogeneous operators are ``FrameAlgebra``'s on the structure's
+    frame and lattice.  An agenda enters as the generator set its
+    ``MeetOfIssues`` label names when that set closes to the agenda, and
+    as its closed set otherwise; a mask leaves as the lattice element
+    labelled by its generators.  Coalitions cross as their masks.
     Enumeration-backed pieces (element lists, the two second-coordinate
     residuals) need the agenda lattice materialized.
     """
 
     def __init__(self, structure):
         self.h = structure
-        self._cache = {}
+        self.lattice = structure.lattice
+        self.core = FrameAlgebra(structure.frame, structure.lattice)
+        self._agendas = {}
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    def _value(self, agenda):
+        lattice = self.lattice
+        mask = lattice._mask_of(agenda)
+        desc = agenda.descriptor
+        bits = lattice._bit
+        if isinstance(desc, MeetOfIssues) and all(
+            issue_id in bits for issue_id in desc.issue_ids
+        ):
+            named = 0
+            for issue_id in desc.issue_ids:
+                named |= bits[issue_id]
+            if named == mask or lattice._closure(named) == mask:
+                return named
+        return mask
+
+    def _agenda(self, mask):
+        if not mask:
+            return self.lattice.top
+        if mask not in self._agendas:
+            self._agendas[mask] = Agenda(
+                self.lattice._group(mask), self.lattice._label(mask)
+            )
+        return self._agendas[mask]
+
+    def _coalition(self, mask):
+        return Coalition(self.h.agents, mask)
 
     def all_c(self):
-        agents = self.h.agents
-        return [
-            Coalition(agents, mask) for mask in range(1 << len(agents))
-        ]
+        return [self._coalition(mask) for mask in self.core.all_c()]
 
     def all_ia(self):
-        self.h.lattice._require_materialized()
-        return list(self.h.lattice.elements)
+        self.lattice._require_materialized()
+        return list(self.lattice.elements)
 
     def c_atoms(self):
-        return [
-            self.h.agents.coalition([name]) for name in self.h.agents.names
-        ]
+        return [self._coalition(mask) for mask in self.core.c_atoms()]
 
     def ia_coatoms(self):
-        return [issue.agenda for issue in self.h.lattice.issue_set]
+        return [issue.agenda for issue in self.lattice.issue_set]
 
     def c_leq(self, x, y):
         return x <= y
 
     def ia_leq(self, x, y):
-        return self.h.lattice.leq(x, y)
+        return self.core.ia_leq(self._value(x), self._value(y))
 
     def c_top(self):
         return self.h.agents.everyone()
@@ -273,10 +238,10 @@ class HeteroAlgebra:
         return self.h.agents.nobody()
 
     def ia_top(self):
-        return self.h.lattice.top
+        return self.lattice.top
 
     def ia_bot(self):
-        return self.h.lattice.bottom
+        return self.lattice.bottom
 
     def c_and(self, x, y):
         return x & y
@@ -288,11 +253,10 @@ class HeteroAlgebra:
         return ~x
 
     def ia_meet(self, x, y):
-        return self.h.lattice.meet([x, y])
+        return self._agenda(self.core.ia_meet(self._value(x), self._value(y)))
 
     def ia_join(self, x, y):
-        key = ("join", x.partition, y.partition)
-        return self._cached(key, lambda: self.h.lattice.d_join([x, y]))
+        return self._agenda(self.core.ia_join(self._value(x), self._value(y)))
 
     def diamdot(self, c):
         from .coalitions import Direction, influence_diamond
@@ -315,37 +279,35 @@ class HeteroAlgebra:
         return influence_box(self.h.influence, c, BoxDirection.ONLY_FROM)
 
     def diamond(self, c):
-        return self._cached(("dia", c.mask), lambda: common_agenda(self.h, c))
+        return self._agenda(self.core.diamond(c.mask))
 
     def rhd(self, c):
-        return self._cached(
-            ("rhd", c.mask), lambda: distributed_agenda(self.h, c)
-        )
+        return self._agenda(self.core.rhd(c.mask))
 
     def pdra(self, c, e):
-        key = ("pdra", c.mask, e.partition)
-        return self._cached(key, lambda: subst_transform(self.h, c, e))
+        return self._agenda(self.core.pdra(c.mask, self._value(e)))
 
     def eqless(self, c, e):
-        key = ("eqless", c.mask, e.partition)
-        return self._cached(key, lambda: residual_second(self.h, c, e))
+        return self._agenda(self.core.eqless(c.mask, self._value(e)))
 
     def br(self, c, e):
-        key = ("br", c.mask, e.partition)
-        return self._cached(key, lambda: br_transform(self.h, c, e))
+        return self._agenda(self.core.br(c.mask, self._value(e)))
 
     def triangle(self, c, e):
-        key = ("tri", c.mask, e.partition)
-        return self._cached(key, lambda: vartriangle(self.h, c, e))
+        return self._agenda(self.core.triangle(c.mask, self._value(e)))
 
     def blacksquare(self, e):
-        key = ("bsq", e.partition)
-        return self._cached(key, lambda: blacksquare(self.h, e))
+        return self._coalition(self.core.blacksquare(self._value(e)))
+
+    def blacktriangleright(self, e):
+        return self._coalition(self.core.blacktriangleright(self._value(e)))
 
     def star(self, e1, e2):
-        key = ("star", e1.partition, e2.partition)
-        return self._cached(key, lambda: star(self.h, e1, e2))
+        return self._coalition(
+            self.core.star(self._value(e1), self._value(e2))
+        )
 
     def brB(self, e1, e2):
-        key = ("brB", e1.partition, e2.partition)
-        return self._cached(key, lambda: brB(self.h, e1, e2))
+        return self._coalition(
+            self.core.brB(self._value(e1), self._value(e2))
+        )

@@ -171,7 +171,7 @@ def _value_vectors(frame, ia_terms, c_terms, ia_names, c_names):
         for t in c_terms:
             packed[t] |= tm.eval_term(algebra, v, t, cache) << (slot * nc)
         slot += 1
-    return packed, algebra
+    return packed
 
 
 def _packed_valid_ia(x, y):
@@ -180,6 +180,28 @@ def _packed_valid_ia(x, y):
 
 def _packed_valid_c(x, y):
     return x & y == x
+
+
+def _first_flagged(vectors, ia_terms, c_terms, flagged):
+    """First sequent whose per-frame verdicts the predicate flags.
+
+    ``vectors`` holds one packed value vector per frame.  Terms with
+    equal vectors on every frame are grouped under their first member,
+    and the pairs of groups are scanned in ``itertools.product`` order,
+    agenda sort first.  Returns (sequent, *verdicts) or None.
+    """
+    for terms, valid in (
+        (ia_terms, _packed_valid_ia), (c_terms, _packed_valid_c)
+    ):
+        groups = {}
+        for t in terms:
+            groups.setdefault(tuple(vec[t] for vec in vectors), t)
+        reps = list(groups.items())
+        for (ka, ta), (kb, tb) in itertools.product(reps, repeat=2):
+            verdicts = tuple(map(valid, ka, kb))
+            if flagged(verdicts):
+                return (tm.Sequent(ta, tb), *verdicts)
+    return None
 
 
 @dataclass(frozen=True)
@@ -213,30 +235,13 @@ def bounded_modal_equivalence(f1, f2, depth=2, ia_atoms=1, c_atoms=1,
         )
     ia_names = [f"q{k + 1}" for k in range(ia_atoms)]
     c_names = [f"t{k + 1}" for k in range(c_atoms)]
-    vec1, alg1 = _value_vectors(f1, ia_terms, c_terms, ia_names, c_names)
-    vec2, alg2 = _value_vectors(f2, ia_terms, c_terms, ia_names, c_names)
-
-    first_bad = None
-
-    def scan(terms, valid_fn):
-        nonlocal first_bad
-        groups = {}
-        for t in terms:
-            groups.setdefault((vec1[t], vec2[t]), t)
-        reps = list(groups.items())
-        for (ka, ta) in reps:
-            a1, a2 = ka
-            for (kb, tb) in reps:
-                v1 = valid_fn(a1, kb[0])
-                v2 = valid_fn(a2, kb[1])
-                if v1 != v2:
-                    if first_bad is None:
-                        first_bad = (tm.Sequent(ta, tb), v1, v2)
-                    return
-
-    scan(ia_terms, _packed_valid_ia)
-    if first_bad is None:
-        scan(c_terms, _packed_valid_c)
+    vectors = [
+        _value_vectors(f, ia_terms, c_terms, ia_names, c_names)
+        for f in (f1, f2)
+    ]
+    first_bad = _first_flagged(
+        vectors, ia_terms, c_terms, lambda v: v[0] != v[1]
+    )
     total_sequents = len(ia_terms) ** 2 + len(c_terms) ** 2
     return EquivalenceReport(
         agree=first_bad is None,
@@ -251,25 +256,11 @@ def validity_transfer_to_union(f1, f2, union, depth=2):
     Returns (ok, first violating sequent or None).
     """
     ia_terms, c_terms = term_family(depth, 1, 1)
-    vec1, alg1 = _value_vectors(f1, ia_terms, c_terms, ["q1"], ["t1"])
-    vec2, alg2 = _value_vectors(f2, ia_terms, c_terms, ["q1"], ["t1"])
-    vecu, algu = _value_vectors(union, ia_terms, c_terms, ["q1"], ["t1"])
-
-    def scan(terms, valid_fn):
-        groups = {}
-        for t in terms:
-            groups.setdefault((vec1[t], vec2[t], vecu[t]), t)
-        reps = list(groups.items())
-        for (ka, ta), (kb, tb) in itertools.product(reps, reps):
-            if (
-                valid_fn(ka[0], kb[0])
-                and valid_fn(ka[1], kb[1])
-                and not valid_fn(ka[2], kb[2])
-            ):
-                return tm.Sequent(ta, tb)
-        return None
-
-    bad = scan(ia_terms, _packed_valid_ia)
-    if bad is None:
-        bad = scan(c_terms, _packed_valid_c)
-    return bad is None, bad
+    vectors = [
+        _value_vectors(f, ia_terms, c_terms, ["q1"], ["t1"])
+        for f in (f1, f2, union)
+    ]
+    bad = _first_flagged(
+        vectors, ia_terms, c_terms, lambda v: v[0] and v[1] and not v[2]
+    )
+    return (True, None) if bad is None else (False, bad[0])

@@ -118,6 +118,10 @@ def check_forth_morphism(maps, f1, f2):
     return MorphismReport(surjective, forth_i, forth_r, forth_s)
 
 
+def _identity(mask):
+    return mask
+
+
 class FrameAlgebra:
     """Complex algebra of a frame, with every operator cached.
 
@@ -125,9 +129,18 @@ class FrameAlgebra:
     elements are bitmasks over D read as supported-issue sets (order:
     superset, so the empty set is the top agenda and the full set is the
     bottom).
+
+    Given an agenda lattice whose issues are D, in issue-set order, the
+    same operators compute those of the concrete structure.  An agenda
+    value is then the generator set its label names, read through the
+    lattice closure: meets are unions, joins intersect closures, and
+    ``x <= y`` holds when closure(x) contains y.  The agenda sort ranges
+    over the lattice elements, and an (agent, issue) pair with no
+    replacement adds nothing to ``pdra`` (its closed substitution entry
+    is the bottom).  For a frame the closure is the identity.
     """
 
-    def __init__(self, frame):
+    def __init__(self, frame, lattice=None):
         self.frame = frame
         self.nc = len(frame.C)
         self.nd = len(frame.D)
@@ -146,6 +159,17 @@ class FrameAlgebra:
         for a, b in frame.I:
             self.i_into[cpos[b]] |= 1 << cpos[a]
             self.i_from[cpos[a]] |= 1 << cpos[b]
+        self.lattice = lattice
+        if lattice is None:
+            self._closure = _identity
+            self.r_closed, self.s_closed = self.r_mask, self.s_mask
+        else:
+            self._closure = closure = lattice._closure
+            self.r_closed = [closure(r) for r in self.r_mask]
+            self.s_closed = [
+                [closure(s) if s else self.d_full for s in row]
+                for row in self.s_mask
+            ]
         self._cache = {}
 
     # -- element enumeration ------------------------------------------
@@ -154,7 +178,9 @@ class FrameAlgebra:
         return range(1 << self.nc)
 
     def all_ia(self):
-        return range(1 << self.nd)
+        if self.lattice is None:
+            return range(1 << self.nd)
+        return self.lattice.element_labels()
 
     def c_atoms(self):
         return [1 << i for i in range(self.nc)]
@@ -168,7 +194,7 @@ class FrameAlgebra:
         return x & y == x
 
     def ia_leq(self, x, y):
-        return x & y == y
+        return self._closure(x) & y == y
 
     def c_top(self):
         return self.c_full
@@ -195,7 +221,7 @@ class FrameAlgebra:
         return x | y
 
     def ia_join(self, x, y):
-        return x & y
+        return self._closure(x) & self._closure(y)
 
     # -- influence modalities -------------------------------------------
 
@@ -234,7 +260,7 @@ class FrameAlgebra:
         def go():
             out = self.d_full
             for j in self._members(c):
-                out &= self.r_mask[j]
+                out &= self.r_closed[j]
             return out
 
         return self._cached(("dia", c), go)
@@ -252,7 +278,7 @@ class FrameAlgebra:
         def go():
             out = 0
             for j in range(self.nc):
-                if e & self.r_mask[j] == e:
+                if e & self.r_closed[j] == e:
                     out |= 1 << j
             return out
 
@@ -260,9 +286,10 @@ class FrameAlgebra:
 
     def blacktriangleright(self, e):
         def go():
+            closed = self._closure(e)
             out = 0
             for j in range(self.nc):
-                if self.r_mask[j] & e == self.r_mask[j]:
+                if self.r_mask[j] & closed == self.r_mask[j]:
                     out |= 1 << j
             return out
 
@@ -271,9 +298,10 @@ class FrameAlgebra:
     def pdra(self, c, e):
         def go():
             out = self.d_full
+            issues = self._issues(self._closure(e))
             for j in self._members(c):
-                for m in self._issues(e):
-                    out &= self.s_mask[j][m]
+                for m in issues:
+                    out &= self.s_closed[j][m]
             return out
 
         return self._cached(("pdra", c, e), go)
@@ -301,8 +329,9 @@ class FrameAlgebra:
     def br(self, c, e):
         def go():
             out = 0
+            issues = self._issues(self._closure(e))
             for j in self._members(c):
-                for m in self._issues(e):
+                for m in issues:
                     out |= self.s_mask[j][m]
             return out
 
@@ -310,9 +339,10 @@ class FrameAlgebra:
 
     def brB(self, e1, e2):
         def go():
+            closed = self._closure(e1)
             out = 0
             for j in range(self.nc):
-                if e1 & self.br(1 << j, e2) == self.br(1 << j, e2):
+                if closed & self.br(1 << j, e2) == self.br(1 << j, e2):
                     out |= 1 << j
             return out
 
@@ -320,9 +350,10 @@ class FrameAlgebra:
 
     def triangle(self, c, e):
         def go():
+            closed = self._closure(e)
             out = 0
             for cand in self.all_ia():
-                if e & self.br(c, cand) == self.br(c, cand):
+                if closed & self.br(c, cand) == self.br(c, cand):
                     out |= cand
             return out
 
@@ -330,16 +361,7 @@ class FrameAlgebra:
 
     # -- readable rendering ---------------------------------------------
 
-    def c_label(self, c):
-        return "{" + ",".join(
-            str(self.frame.C[i]) for i in self._members(c)
-        ) + "}"
-
     def ia_label(self, e):
         return "{" + ",".join(
             str(self.frame.D[i]) for i in self._issues(e)
         ) + "}"
-
-
-def complex_algebra(frame):
-    return FrameAlgebra(frame)

@@ -299,19 +299,25 @@ def _valuations(ia_names, c_names, ia_domain, c_domain):
             yield v
 
 
-def check_validity(algebra, sequent, atom_cap=2):
-    """Exhaustive validity over all valuations into the algebra."""
+def _check(algebra, sequent, atom_cap, ia_domain, c_domain):
+    """Validity with atoms ranging over two domains, given as callables.
+
+    The domains are computed only once the sequent is within the atom cap.
+    """
     ia_names, c_names = sequent.atoms()
     if len(ia_names) > atom_cap or len(c_names) > atom_cap:
         raise CapExceeded(
             f"sequent uses more than {atom_cap} atoms per sort"
         )
-    for v in _valuations(
-        ia_names, c_names, algebra.all_ia(), algebra.all_c()
-    ):
+    for v in _valuations(ia_names, c_names, ia_domain(), c_domain()):
         if not holds(algebra, v, sequent):
             return ValidityResult(False, dict(v))
     return ValidityResult(True)
+
+
+def check_validity(algebra, sequent, atom_cap=2):
+    """Exhaustive validity over all valuations into the algebra."""
+    return _check(algebra, sequent, atom_cap, algebra.all_ia, algebra.all_c)
 
 
 def check_flat_validity(algebra, sequent, atom_cap=2):
@@ -321,14 +327,6 @@ def check_flat_validity(algebra, sequent, atom_cap=2):
     quantification pattern under which the first-order correspondences
     hold (full valuations provably break several of them).
     """
-    ia_names, c_names = sequent.atoms()
-    if len(ia_names) > atom_cap or len(c_names) > atom_cap:
-        raise CapExceeded(
-            f"sequent uses more than {atom_cap} atoms per sort"
-        )
-    for v in _valuations(
-        ia_names, c_names, algebra.ia_coatoms(), algebra.c_atoms()
-    ):
-        if not holds(algebra, v, sequent):
-            return ValidityResult(False, dict(v))
-    return ValidityResult(True)
+    return _check(
+        algebra, sequent, atom_cap, algebra.ia_coatoms, algebra.c_atoms
+    )

@@ -467,10 +467,23 @@ def compatibility(e, pre):
 
 
 class PairOrder(enum.Enum):
-    PREFERS_U = "PrefersU"
-    PREFERS_W = "PrefersW"
+    """How a preorder ranks u against w; the values are verdict strings."""
+
+    PREFERS_U = "PrefersFirst"
+    PREFERS_W = "PrefersSecond"
     TIE = "Tie"
-    INCOMPARABLE = "Incomparable"
+    INCOMPARABLE = "NoDecision"
+
+
+def pair_order(w_below_u, u_below_w):
+    """The order of u and w from the two comparisons between them."""
+    if w_below_u and u_below_w:
+        return PairOrder.TIE
+    if w_below_u:
+        return PairOrder.PREFERS_U
+    if u_below_w:
+        return PairOrder.PREFERS_W
+    return PairOrder.INCOMPARABLE
 
 
 def _class_below(e, base, x, y):
@@ -490,15 +503,7 @@ def prefers(e, base, u, w):
     for x in (u, w):
         if not 0 <= x < e.n:
             raise IndexOutOfRange(f"profile {x} outside 0..{e.n - 1}")
-    wu = _class_below(e, base, w, u)
-    uw = _class_below(e, base, u, w)
-    if wu and uw:
-        return PairOrder.TIE
-    if wu:
-        return PairOrder.PREFERS_U
-    if uw:
-        return PairOrder.PREFERS_W
-    return PairOrder.INCOMPARABLE
+    return pair_order(_class_below(e, base, w, u), _class_below(e, base, u, w))
 
 
 def random_partition(rng, n):

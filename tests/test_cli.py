@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agenda_algebra
 from agenda_algebra.cli import main
 from agenda_algebra.scenarios import scenario_text
+
+SRC = str(Path(agenda_algebra.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -75,6 +82,19 @@ def test_lattice_above_cap(capsys):
 def test_check_correspondence_exhaustive(capsys):
     assert main(["check-correspondence", "--exhaustive", "1"]) == 0
     assert "0 disagreements" in capsys.readouterr().out
+
+
+def test_check_correspondence_exhaustive_cap():
+    """Carriers up to 3 mean about 2^45 frames: refused before any scan."""
+    result = subprocess.run(
+        [sys.executable, "-m", "agenda_algebra.cli",
+         "check-correspondence", "--exhaustive", "3"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 2
+    assert "35184774848904 structures" in result.stderr
+    assert result.stdout == ""
 
 
 def test_check_correspondence_random(capsys):

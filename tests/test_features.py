@@ -242,14 +242,10 @@ def test_decide_agrees_with_generic_quotient():
         summ = ft.sum_agenda(space, names)
         for a, b in pairs:
             fast = ft.decide(space, ft.TOTAL_DOMINANCE, proj, a, b).verdict
-            generic = ft._FROM_PAIR_ORDER[
-                pt.prefers(proj.partition, space.dominance, a, b)
-            ]
+            generic = pt.prefers(proj.partition, space.dominance, a, b).value
             assert fast == generic
             fast = ft.decide(space, ft.SUM, summ, a, b).verdict
-            generic = ft._FROM_PAIR_ORDER[
-                pt.prefers(summ.partition, space.dominance, a, b)
-            ]
+            generic = pt.prefers(summ.partition, space.dominance, a, b).value
             assert fast == generic
 
 
