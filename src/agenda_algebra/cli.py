@@ -108,7 +108,7 @@ def cmd_lattice(args):
 
 def cmd_check_correspondence(args):
     reports = []
-    if args.random:
+    if args.random is not None:
         rng = random.Random(args.seed)
         count = max(args.random, 0)
         structures = (

@@ -5,11 +5,23 @@ parameter) and orders the tuples coordinatewise.  Agendas are partitions
 of the profile list, tagged with how they were generated: by projecting
 onto a parameter set, by a sum-score over a parameter set, by a single
 threshold question, or by meeting named issues.
+
+The space holds its profiles as one integer matrix of value indices.
+Each sum-ready scale also gets a score table: its rational values times
+D, the least common multiple of every sum-ready denominator in the
+space.  A sum-score is then an exact integer sum divided by D, so the
+sum rule, its agendas and its thresholds compare integers, never
+``Fraction`` objects, and ``decide`` compares just the two profiles it
+is given.  The n x n dominance preorder is built only when an agenda
+without a projection, sum or threshold descriptor needs the quotient
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -134,6 +146,13 @@ class FeatureSpace:
 
     Profile ids follow the lexicographic enumeration in declared parameter
     order (the first parameter varies slowest), so ids are deterministic.
+
+    ``values`` is the n x p matrix of value indices, row ``pid`` being
+    profile ``pid``; ``profiles`` and ``index`` are read off it.  Every
+    sum-ready scale has a score table of its values times the space's
+    denominator D, in int64 when no sum over the p parameters can reach
+    2**62 and in Python ints (``dtype=object``) otherwise, so sums stay
+    exact either way.  ``dominance`` is computed on first use.
     """
 
     def __init__(self, params, cap=PROFILE_CAP):
@@ -143,20 +162,52 @@ class FeatureSpace:
         names = [name for name, _ in params]
         if len(set(names)) != len(names):
             raise MalformedScale("duplicate parameter names")
-        total = 1
-        for _, scale in params:
-            total *= len(scale.values)
+        sizes = [len(scale.values) for _, scale in params]
+        total = math.prod(sizes)
         if total > cap:
             raise CapExceeded(f"{total} profiles exceed cap {cap}")
         self.params = tuple((name, scale) for name, scale in params)
         self.names = tuple(names)
         self.scale_of = {name: scale for name, scale in params}
-        self.profiles = tuple(
-            itertools.product(*(range(len(s.values)) for _, s in params))
-        )
+        self.values = np.indices(sizes).reshape(len(sizes), -1).T
+        self.values.setflags(write=False)
+        self.profiles = tuple(map(tuple, self.values.tolist()))
         self.index = {p: i for i, p in enumerate(self.profiles)}
         self.n = len(self.profiles)
-        self.dominance = rule_preorder(self, TOTAL_DOMINANCE, self.names)
+        self._set_score_tables()
+
+    def _set_score_tables(self):
+        scores = {}
+        for k, (_, scale) in enumerate(self.params):
+            try:
+                ready = scale.is_sum_ready()
+            except (TypeError, ValueError, ArithmeticError):
+                # a numeric entry that is no rational: the sum rule raises
+                # this error again where it meets the scale
+                ready = False
+            if ready:
+                scores[k] = [
+                    scale.value_fraction(i) for i in range(len(scale.values))
+                ]
+        self.denominator = math.lcm(
+            *(f.denominator for fs in scores.values() for f in fs)
+        )
+        scaled = {
+            k: [f.numerator * (self.denominator // f.denominator) for f in fs]
+            for k, fs in scores.items()
+        }
+        largest = max((abs(v) for vs in scaled.values() for v in vs), default=0)
+        self._score_dtype = (
+            np.int64 if largest * len(self.params) < 2**62 else object
+        )
+        self._scores = {
+            k: np.array(vs, dtype=self._score_dtype) for k, vs in scaled.items()
+        }
+
+    @functools.cached_property
+    def dominance(self):
+        """Coordinatewise dominance over all parameters, built on first use."""
+        return rule_preorder(self, TOTAL_DOMINANCE, self.names)
 
     def profile_id(self, assignment):
         """Id of the profile given as {parameter name: value label}."""
@@ -188,16 +239,50 @@ class FeatureSpace:
 
     def sum_score(self, pid, names):
         """Exact rational sum of the profile's scores over the given set."""
+        positions = self._sum_positions(names, [pid])
+        return Fraction(int(self._sums(positions, [pid])[0]), self.denominator)
+
+    def _sum_positions(self, names, pids):
+        """Positions of the names, all of them on score tables.
+
+        Otherwise raise the sum rule's error at the first of the given
+        profiles, and the first position in it, that has no rational score.
+        """
         positions = self._param_positions(names)
-        total = Fraction(0)
+        missing = [k for k in positions if k not in self._scores]
+        if not missing:
+            return positions
+        for pid in pids:
+            for k in positions:
+                name, scale = self.params[k]
+                if scale.kind != CHAIN:
+                    raise NonLinearScale(f"parameter {name} is not on a chain")
+                scale.value_fraction(self.profiles[pid][k])
+        # these profiles score, but another value on the scale does not
+        raise NonLinearScale(
+            f"parameter {self.params[missing[0]][0]} is not sum-scorable"
+        )
+
+    def _sums(self, positions, pids=slice(None)):
+        """Scaled integer sum-scores of the given profiles (default: all)."""
+        # a name listed more than p times could carry an int64 sum past 2**63
+        dtype = object
+        if len(positions) <= len(self.params):
+            dtype = self._score_dtype
+        total = np.zeros(self.n, dtype=dtype)[pids]
         for k in positions:
-            scale = self.params[k][1]
-            if scale.kind != CHAIN:
-                raise NonLinearScale(
-                    f"parameter {self.params[k][0]} is not on a chain"
-                )
-            total += scale.value_fraction(self.profiles[pid][k])
+            total += self._scores[k].astype(dtype, copy=False)[
+                self.values[pids, k]
+            ]
         return total
+
+    def _threshold_bound(self, k):
+        """floor(k * D): a sum-score s / D is at most k iff s is at most it.
+
+        Compare it with Python ints (``tolist``), never inside an int64
+        array, where a bound past 2**63 would not fit.
+        """
+        return k.numerator * self.denominator // k.denominator
 
 
 def build_space(params, cap=PROFILE_CAP):
@@ -276,37 +361,42 @@ def projection_agenda(space, names):
 
 def sum_agenda(space, names):
     """Profiles with equal sum-score over the set fall in one class."""
-    positions = space._param_positions(names)
-    for k in positions:
-        name, scale = space.params[k]
-        if not scale.is_sum_ready():
-            raise NonLinearScale(f"parameter {name} is not sum-scorable")
-    part = pt.Partition.from_key(
-        space.n, lambda pid: space.sum_score(pid, names)
-    )
+    positions = _sum_ready_positions(space, names)
+    sums = space._sums(positions).tolist()
+    part = pt.Partition.from_key(space.n, sums.__getitem__)
     return Agenda(part, SumDescriptor(frozenset(names)))
 
 
 def achievable_sums(space, names):
     """Sorted distinct sum-scores over the set, as exact rationals."""
-    return sorted({space.sum_score(pid, names) for pid in range(space.n)})
+    positions = space._sum_positions(names, range(space.n))
+    sums = set(space._sums(positions).tolist())
+    return [Fraction(v, space.denominator) for v in sorted(sums)]
 
 
 def threshold_issue(space, names, k):
     """The yes/no question: is the sum-score over the set at most k?"""
     k = k if isinstance(k, Fraction) else Fraction(k)
-    positions = space._param_positions(names)
-    for pos in positions:
-        name, scale = space.params[pos]
-        if not scale.is_sum_ready():
-            raise NonLinearScale(f"parameter {name} is not sum-scorable")
-    low = [pid for pid in range(space.n) if space.sum_score(pid, names) <= k]
+    positions = _sum_ready_positions(space, names)
+    bound = space._threshold_bound(k)
+    sums = space._sums(positions).tolist()
+    low = [pid for pid, s in enumerate(sums) if s <= bound]
     if not low or len(low) == space.n:
         raise DegenerateThreshold(
             f"threshold {k} leaves an empty cell over {sorted(names)}"
         )
     part = pt.Partition.bipartition(space.n, low)
     return Agenda(part, ThresholdDescriptor(frozenset(names), k))
+
+
+def _sum_ready_positions(space, names):
+    """Positions of the names, refusing any scale that is not sum-ready."""
+    positions = space._param_positions(names)
+    for pos in positions:
+        name, scale = space.params[pos]
+        if pos not in space._scores and not scale.is_sum_ready():
+            raise NonLinearScale(f"parameter {name} is not sum-scorable")
+    return positions
 
 
 def threshold_issues_for(space, names):
@@ -345,18 +435,13 @@ def rule_preorder(space, rule, names):
         positions = space._param_positions(names)
         holds = np.ones((space.n, space.n), dtype=bool)
         for k in positions:
-            scale = space.params[k][1]
-            col = np.array([p[k] for p in space.profiles])
-            holds &= scale._leq[np.ix_(col, col)]
+            col = space.values[:, k]
+            holds &= space.params[k][1]._leq[np.ix_(col, col)]
         return pt.Preorder(holds, validate=False)
     if rule == SUM:
-        scores = [space.sum_score(pid, names) for pid in range(space.n)]
-        holds = np.array(
-            [[scores[x] <= scores[y] for y in range(space.n)]
-             for x in range(space.n)],
-            dtype=bool,
-        )
-        return pt.Preorder(holds, validate=False)
+        positions = space._sum_positions(names, range(space.n))
+        sums = space._sums(positions)
+        return pt.Preorder(sums[:, None] <= sums[None, :], validate=False)
     raise IncompatibleRule(f"unknown winning rule {rule!r}")
 
 
@@ -375,9 +460,10 @@ def decide(space, rule, agenda, first, second):
     """Verdict of an agenda on an ordered profile pair under a rule.
 
     Projection agendas decide by coordinatewise dominance on their
-    parameters, sum and threshold agendas by sum-score; meets of issues
-    and opaque agendas fall back to the quotient of the dominance order,
-    with which the fast paths agree.
+    parameters, compared on the two profiles' value rows; sum and
+    threshold agendas by the two integer sum-scores.  Meets of issues and
+    opaque agendas fall back to the quotient of the dominance order, with
+    which the fast paths agree.
     """
     if agenda.partition.n != space.n:
         raise GroundMismatch("agenda does not live on this space")
@@ -388,23 +474,31 @@ def decide(space, rule, agenda, first, second):
                 "sum-generated agendas need the sum rule"
             )
         if isinstance(desc, ProjectionDescriptor):
-            pre = rule_preorder(space, rule, desc.params)
-            return _decision(pre.leq(second, first), pre.leq(first, second))
+            scales = [
+                (k, space.params[k][1])
+                for k in space._param_positions(desc.params)
+            ]
+            a, b = space.values[first], space.values[second]
+            return _decision(
+                all(scale.leq(b[k], a[k]) for k, scale in scales),
+                all(scale.leq(a[k], b[k]) for k, scale in scales),
+            )
     elif rule == SUM:
         if isinstance(desc, ProjectionDescriptor):
             raise IncompatibleRule(
                 "projection agendas need the total-dominance rule"
             )
         if isinstance(desc, SumDescriptor):
-            pre = rule_preorder(space, rule, desc.params)
-            return _decision(pre.leq(second, first), pre.leq(first, second))
+            positions = space._sum_positions(desc.params, range(space.n))
+            a, b = space._sums(positions, [first, second]).tolist()
+            return _decision(b <= a, a <= b)
         if isinstance(desc, ThresholdDescriptor):
             # the class above the threshold sits above the one below it
-            high_first = space.sum_score(first, desc.params) > desc.k
-            high_second = space.sum_score(second, desc.params) > desc.k
-            return _decision(
-                high_second <= high_first, high_first <= high_second
-            )
+            positions = space._sum_positions(desc.params, [first, second])
+            bound = space._threshold_bound(desc.k)
+            sums = space._sums(positions, [first, second]).tolist()
+            a, b = (s > bound for s in sums)
+            return _decision(b <= a, a <= b)
     else:
         raise IncompatibleRule(f"unknown winning rule {rule!r}")
     order = pt.prefers(agenda.partition, space.dominance, first, second)

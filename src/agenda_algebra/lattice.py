@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 from . import partitions as pt
 from .errors import (
+    CapExceeded,
     EmptyAgendaSet,
     GroundMismatch,
     NotInLattice,
@@ -42,6 +44,9 @@ from .features import (
 )
 
 MATERIALIZE_CAP = 20
+# meets candidate_set_C may take: two agents with five parameters each
+# need 25; four agents with three each need 3^12 = 531,441
+CANDIDATE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -438,6 +443,12 @@ def candidate_set_C(space, agent_params):
         for j in agents:
             if i != j:
                 slots.append((i, j, coarsenings_crs1(space, agent_params[j])))
+    total = math.prod(len(options) for _, _, options in slots)
+    if total > CANDIDATE_CAP:
+        raise CapExceeded(
+            f"the candidate set takes {total} meets, above the cap "
+            f"{CANDIDATE_CAP}"
+        )
     out = {}
     for choice in itertools.product(*(options for _, _, options in slots)):
         agenda = meet_agendas(*choice)

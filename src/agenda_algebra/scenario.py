@@ -81,7 +81,12 @@ def parse_issue_id(issue_id, space, rule):
             raise UnknownParameter(f"malformed issue id {issue_id!r}")
         names_part, k_part = body.split("<=", 1)
         names = names_part.split(",")
-        k = Fraction(k_part)
+        try:
+            k = Fraction(k_part)
+        except (ValueError, ZeroDivisionError):
+            raise UnknownParameter(
+                f"malformed threshold {k_part!r} in issue id {issue_id!r}"
+            ) from None
         canon = ",".join(sorted(names))
         space._param_positions(names)
         return [f"sum:{canon}<={k}"]
@@ -109,6 +114,8 @@ def load_scenario(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(["the document must be a JSON object"])
     problems = []
 
     agents = doc.get("agents") or []

@@ -106,6 +106,42 @@ def test_check_correspondence_random(capsys):
     assert doc["structures"] == 25
 
 
+def test_check_correspondence_random_zero(capsys):
+    assert main([
+        "--json", "check-correspondence", "--random", "0",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"disagreements": 0, "pair_checks": 0, "structures": 0}
+
+
+def test_candidate_set_cap_exit_code(tmp_path, capsys):
+    """Four agents with three parameters each: 3^12 meets, refused."""
+    names = ["a", "b", "c", "d"]
+    agents = {f"j{i}": names[:i] + names[i + 1:] for i in range(4)}
+    doc = {
+        "agents": list(agents),
+        "parameters": [
+            {"name": x, "scale": {"kind": "chain", "values": ["0", "1"]}}
+            for x in names
+        ],
+        "winning_rule": "total_dominance",
+        "candidates": {
+            "P": dict.fromkeys(names, "1"), "Q": dict.fromkeys(names, "0"),
+        },
+        "relevance": {
+            agent: [f"param:{x}" for x in params]
+            for agent, params in agents.items()
+        },
+        "influence": [],
+        "substitution": [],
+    }
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "531441 meets" in err and "10000" in err
+
+
 def test_frames_fixture(capsys):
     assert main(["--json", "frames", "--fixture", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ from agenda_algebra import lattice as lt
 from agenda_algebra import partitions as pt
 from agenda_algebra import viz
 from agenda_algebra.errors import (
+    CapExceeded,
     EmptyAgendaSet,
     NotInLattice,
     NotMaterialized,
@@ -286,6 +287,15 @@ def test_candidate_set_single_params():
     space = binary_space(["x", "y"])
     cset = lt.candidate_set_C(space, {"a": ["x"], "b": ["y"]})
     assert [a.partition for a in cset] == [pt.Partition.single_block(4)]
+
+
+def test_candidate_set_cap():
+    space = binary_space(["a", "b", "c", "d"])
+    four = {f"j{i}": ["a", "b", "c"] for i in range(4)}
+    with pytest.raises(CapExceeded, match="531441 meets"):
+        lt.candidate_set_C(space, four)
+    three = {f"j{i}": ["a", "b", "c"] for i in range(3)}
+    assert lt.candidate_set_C(space, three)  # 3^6 meets, under the cap
 
 
 def test_hasse_export():

@@ -64,6 +64,33 @@ def test_dangling_issue_id():
         load_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", ["sum:s<=abc", "sum:s<=1/0"])
+def test_malformed_threshold_ids_are_listed(bad):
+    """A threshold that is no rational is a problem in every place an
+    issue id may appear, each listed, not an uncaught ValueError."""
+    doc = json.loads(scenario_text("car"))
+    doc["relevance"]["alan"].append(bad)
+    doc["substitution"].append(
+        {"agent": "betty", "from": bad, "to": "sum:f,p,s<=1"}
+    )
+    doc["options"] = {"extra_agendas": {"mine": [bad]}}
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    k = bad.split("<=")[1]
+    assert err.value.problems == [
+        f"{where}: malformed threshold {k!r} in issue id {bad!r}"
+        for where in ("relevance of alan", "substitution from",
+                      "named agenda mine")
+    ]
+
+
+@pytest.mark.parametrize("text", ["[1]", '"car"', "3", "null"])
+def test_document_must_be_an_object(text):
+    with pytest.raises(ValidationError) as err:
+        load_scenario(text)
+    assert err.value.problems == ["the document must be a JSON object"]
+
+
 def test_sumset_sugar_expansion():
     car = load_scenario(scenario_text("car"))
     assert car.relevance["alan"] == (
