@@ -71,7 +71,10 @@ def cmd_lattice(args):
         space = _binary_space(names)
         ids = []
         for raw in raw_ids:
-            ids.extend(parse_issue_id(raw, space, ft.SUM))
+            try:
+                ids.extend(parse_issue_id(raw, space, ft.SUM))
+            except AgendaAlgebraError as exc:
+                raise ValidationError([f"--issues: {exc}"]) from exc
         issue_set = lt.IssueSet([issue_from_id(i, space) for i in ids])
     lattice = lt.build_lattice(issue_set, cap=args.cap)
     if args.dot:

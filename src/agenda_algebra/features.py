@@ -33,6 +33,7 @@ from .errors import (
     DegenerateThreshold,
     GroundMismatch,
     IncompatibleRule,
+    IndexOutOfRange,
     MalformedScale,
     NonLinearScale,
     UnknownParameter,
@@ -467,6 +468,10 @@ def decide(space, rule, agenda, first, second):
     """
     if agenda.partition.n != space.n:
         raise GroundMismatch("agenda does not live on this space")
+    for pid in (first, second):
+        # numpy would wrap -1 round to profile n-1
+        if not 0 <= pid < space.n:
+            raise IndexOutOfRange(f"profile {pid} outside 0..{space.n - 1}")
     desc = agenda.descriptor
     if rule == TOTAL_DOMINANCE:
         if isinstance(desc, (SumDescriptor, ThresholdDescriptor)):

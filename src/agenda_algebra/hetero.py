@@ -4,17 +4,18 @@ Everything here is parametrized by a HeteroStructure: an agent set, an
 agenda lattice, and the three relations (influence between agents,
 relevance of issues to agents, substitution of issues by issues per
 agent).  The structure is the frame (agents, issue ids, I, R, S) read
-through its lattice, so the operators are those of the frame's complex
-algebra, ``FrameAlgebra``, given the lattice closure.  ``HeteroAlgebra``
-carries lattice members and coalitions to and from its bitmasks, and
-operators returning agendas always return lattice elements.
+through its lattice, so every operator, the Boolean box included, is
+one of the frame's complex algebra, ``FrameAlgebra``, given the lattice
+closure.  ``HeteroAlgebra`` carries lattice members and coalitions to and
+from its bitmasks, and operators returning agendas always return lattice
+elements.
 """
 
 from __future__ import annotations
 
 from .coalitions import Coalition, InfluenceRelation
 from .errors import NotBoolean, NotInLattice, UnknownAgent
-from .features import Agenda, MeetOfIssues
+from .features import MeetOfIssues
 from .logic.frames import FrameAlgebra, RelationalStructure
 
 
@@ -64,13 +65,12 @@ class HeteroStructure:
                     )
             if agent not in agents.position:
                 raise UnknownAgent(f"substitution names unknown agent {agent!r}")
-        by_id = lattice.issue_set.by_id
-        self._agent_agendas = {
-            name: lattice._meet_of(
-                [by_id(i) for i in self.relevance.issues_for(name)]
-            )
-            for name in agents.names
-        }
+        self._agent_agendas = {}
+        for name in agents.names:
+            mask = 0
+            for issue_id in self.relevance.issues_for(name):
+                mask |= lattice._bit[issue_id]
+            self._agent_agendas[name] = lattice._element(mask)
         self.frame = RelationalStructure(
             C=agents.names,
             D=tuple(issue.id for issue in lattice.issue_set),
@@ -101,22 +101,7 @@ def distributed_agenda(h, coalition):
 
 def box_coalition(h, coalition):
     """Boolean dual of the common agenda, on Boolean lattices only."""
-    lattice = h.lattice
-    if not lattice.materialized:
-        raise NotBoolean("box needs a materialized Boolean lattice")
-    distributive, _ = lattice.is_distributive()
-    if not distributive or not lattice.is_complemented():
-        raise NotBoolean("the agenda lattice is not a Boolean algebra")
-    picked = []
-    for issue in lattice.issue_set:
-        for name in h.agents.names:
-            if name in coalition:
-                continue
-            agenda = h.agent_agenda(name)
-            if not lattice.leq(agenda, issue.agenda):
-                picked.append(issue)
-                break
-    return lattice._meet_of(picked)
+    return HeteroAlgebra(h).box(coalition)
 
 
 def blacksquare(h, agenda):
@@ -170,13 +155,14 @@ def vartriangle(h, coalition, agenda):
 class HeteroAlgebra:
     """A HeteroStructure through the term-eval protocol.
 
-    The heterogeneous operators are ``FrameAlgebra``'s on the structure's
-    frame and lattice.  An agenda enters as the generator set its
-    ``MeetOfIssues`` label names when that set closes to the agenda, and
-    as its closed set otherwise; a mask leaves as the lattice element
-    labelled by its generators.  Coalitions cross as their masks.
-    Enumeration-backed pieces (element lists, the two second-coordinate
-    residuals) need the agenda lattice materialized.
+    Every operator, the influence modalities and the Boolean box included,
+    is ``FrameAlgebra``'s on the structure's frame and lattice.  An agenda
+    enters as the generator set its ``MeetOfIssues`` label names when that
+    set closes to the agenda, and as its closed set otherwise; a mask
+    leaves as the lattice element labelled by its generators, memoized per
+    algebra.  Coalitions cross as their masks.  Enumeration-backed pieces
+    (element lists, the two second-coordinate residuals, the box) need the
+    agenda lattice materialized.
     """
 
     def __init__(self, structure):
@@ -201,12 +187,8 @@ class HeteroAlgebra:
         return mask
 
     def _agenda(self, mask):
-        if not mask:
-            return self.lattice.top
         if mask not in self._agendas:
-            self._agendas[mask] = Agenda(
-                self.lattice._group(mask), self.lattice._label(mask)
-            )
+            self._agendas[mask] = self.lattice._element(mask)
         return self._agendas[mask]
 
     def _coalition(self, mask):
@@ -259,30 +241,32 @@ class HeteroAlgebra:
         return self._agenda(self.core.ia_join(self._value(x), self._value(y)))
 
     def diamdot(self, c):
-        from .coalitions import Direction, influence_diamond
-
-        return influence_diamond(self.h.influence, c, Direction.INFLUENCERS)
+        return self._coalition(self.core.diamdot(c.mask))
 
     def diamdotb(self, c):
-        from .coalitions import Direction, influence_diamond
-
-        return influence_diamond(self.h.influence, c, Direction.AUDIENCE)
+        return self._coalition(self.core.diamdotb(c.mask))
 
     def boxdot(self, c):
-        from .coalitions import BoxDirection, influence_box
-
-        return influence_box(self.h.influence, c, BoxDirection.ONLY_INTO)
+        return self._coalition(self.core.boxdot(c.mask))
 
     def blacksqdot(self, c):
-        from .coalitions import BoxDirection, influence_box
-
-        return influence_box(self.h.influence, c, BoxDirection.ONLY_FROM)
+        return self._coalition(self.core.blacksqdot(c.mask))
 
     def diamond(self, c):
         return self._agenda(self.core.diamond(c.mask))
 
     def rhd(self, c):
         return self._agenda(self.core.rhd(c.mask))
+
+    def box(self, c):
+        """Issues missing from some outsider's agenda: not diamond(~c)."""
+        lattice = self.lattice
+        if not lattice.materialized:
+            raise NotBoolean("box needs a materialized Boolean lattice")
+        if not lattice.is_boolean():
+            raise NotBoolean("the agenda lattice is not a Boolean algebra")
+        core = self.core
+        return self._agenda(core.d_full & ~core.diamond(core.c_not(c.mask)))
 
     def pdra(self, c, e):
         return self._agenda(self.core.pdra(c.mask, self._value(e)))

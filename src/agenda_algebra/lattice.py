@@ -116,7 +116,7 @@ class AgendaLattice:
         self.top = Agenda(
             pt.Partition.single_block(self.n), MeetOfIssues(())
         )
-        self.bottom = Agenda(self._group(self._full), self._label(self._full))
+        self.bottom = self._element(self._full)
         self.elements = None
         self._masks = ()        # closed set of each listed element
         self._named = ()        # generator set each element's label names
@@ -177,7 +177,7 @@ class AgendaLattice:
         )
 
     def _element(self, mask, part=None):
-        """Member form of a closed set, labelled by every generator in it."""
+        """Meet of the generators in mask, labelled by every one of them."""
         if not mask:
             return self.top
         if part is None:
@@ -218,16 +218,6 @@ class AgendaLattice:
         }
 
     # -- lattice operations ------------------------------------------------
-
-    def _meet_of(self, issues):
-        """Meet of the given issues, labelled by exactly those issues."""
-        if not issues:
-            return self.top
-        mask = 0
-        for issue in issues:
-            mask |= self._bit[issue.id]
-        label = MeetOfIssues(tuple(sorted(i.id for i in issues)))
-        return Agenda(self._group(mask), label)
 
     def _issues(self, mask):
         return [
@@ -328,6 +318,19 @@ class AgendaLattice:
             any(not a & b and self._meet_mask(a, b) == full for b in masks)
             for a in masks
         )
+
+    def is_boolean(self):
+        """Is the lattice a Boolean algebra?
+
+        Each element is the meet of the meet-irreducibles above it, so a
+        lattice with k of them has at most 2^k elements, and exactly 2^k
+        when every set of them is closed: then it is Boolean (Davey &
+        Priestley, ch. 10).  Here they are the distinct generator
+        partitions, one per closure(generator).
+        """
+        self._require_materialized()
+        k = len({self._closure(1 << i) for i in range(len(self._ids))})
+        return len(self.elements) == 1 << k
 
     def issues_meet_prime(self):
         """Are all generators meet-prime over meets of element pairs?

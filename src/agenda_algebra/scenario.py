@@ -63,6 +63,16 @@ def _parse_rational(text, problems, where):
         return None
 
 
+def _distinct(names, issue_id):
+    """The parameter names of an id, refused when one repeats."""
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise UnknownParameter(
+                f"issue id {issue_id!r} repeats parameter {name!r}"
+            )
+    return names
+
+
 def parse_issue_id(issue_id, space, rule):
     """Expand one issue-id string into canonical ids (sumset may fan out)."""
     if issue_id.startswith("param:"):
@@ -71,7 +81,7 @@ def parse_issue_id(issue_id, space, rule):
             raise UnknownParameter(f"unknown parameter {name!r}")
         return [f"param:{name}"]
     if issue_id.startswith("sumset:"):
-        names = issue_id[len("sumset:"):].split(",")
+        names = _distinct(issue_id[len("sumset:"):].split(","), issue_id)
         sums = ft.achievable_sums(space, names)
         canon = ",".join(sorted(names))
         return [f"sum:{canon}<={k}" for k in sums[:-1]]
@@ -80,7 +90,7 @@ def parse_issue_id(issue_id, space, rule):
         if "<=" not in body:
             raise UnknownParameter(f"malformed issue id {issue_id!r}")
         names_part, k_part = body.split("<=", 1)
-        names = names_part.split(",")
+        names = _distinct(names_part.split(","), issue_id)
         try:
             k = Fraction(k_part)
         except (ValueError, ZeroDivisionError):
@@ -108,6 +118,88 @@ def issue_from_id(issue_id, space):
     return lt.Issue(issue_id, agenda)
 
 
+def _field(doc, key, kind, problems, shape):
+    """doc[key] if it is a list or dict as asked; missing or empty: empty."""
+    value = doc.get(key) or kind()
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{key}: need {shape}, got {value!r}")
+    return kind()
+
+
+def _is_label(value):
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _parse_scale(spec, problems):
+    """The scale one parameter entry declares, or None with its problem."""
+    if not isinstance(spec, dict):
+        problems.append(f"parameters: {spec!r} is not an object")
+        return None
+    name = spec.get("name", "?")
+    if not isinstance(name, str):
+        problems.append(f"parameters: name {name!r} is not a string")
+        return None
+    scale_doc = spec.get("scale") or {}
+    if not isinstance(scale_doc, dict):
+        problems.append(f"parameter {name}: scale is not an object")
+        return None
+    values = scale_doc.get("values") or []
+    covers = scale_doc.get("covers") or []
+    numeric_doc = scale_doc.get("numeric") or {}
+    if not (isinstance(values, list) and all(map(_is_label, values))):
+        problems.append(f"parameter {name}: values need a list of labels")
+        return None
+    if not (isinstance(covers, list) and all(
+        isinstance(c, list) and len(c) == 2 and all(map(_is_label, c))
+        for c in covers
+    )):
+        problems.append(f"parameter {name}: covers need a list of label pairs")
+        return None
+    if not isinstance(numeric_doc, dict):
+        problems.append(f"parameter {name}: numeric needs an object")
+        return None
+    numeric = None
+    if numeric_doc:
+        numeric = {}
+        for label, raw in numeric_doc.items():
+            k = _parse_rational(raw, problems, f"parameter {name} numeric")
+            if k is not None:
+                numeric[label] = k
+    try:
+        return ft.Scale(
+            name, tuple(values), scale_doc.get("kind", "chain"),
+            tuple(map(tuple, covers)), numeric,
+        )
+    except AgendaAlgebraError as exc:
+        problems.append(f"parameter {name}: {exc}")
+        return None
+
+
+def _parse_options(doc, problems):
+    """The options object: known keys only, integer caps."""
+    options = ScenarioOptions()
+    raw = _field(doc, "options", dict, problems, "an object")
+    for key, value in raw.items():
+        if key == "extra_agendas":
+            value = value or {}
+            if isinstance(value, dict) and all(
+                isinstance(ids, list) for ids in value.values()
+            ):
+                options.extra_agendas = value
+            else:
+                problems.append(
+                    "options: extra_agendas needs an object of issue-id lists"
+                )
+        elif key not in ("materialize_cap", "profile_cap"):
+            problems.append(f"options: unknown key {key!r}")
+        elif isinstance(value, int) and not isinstance(value, bool):
+            setattr(options, key, value)
+        else:
+            problems.append(f"options: {key} needs an integer, got {value!r}")
+    return options
+
+
 def load_scenario(text):
     """Parse and fully validate a scenario document."""
     try:
@@ -119,7 +211,12 @@ def load_scenario(text):
     problems = []
 
     agents = doc.get("agents") or []
-    if not agents or len(set(agents)) != len(agents):
+    if not (
+        isinstance(agents, list)
+        and agents
+        and all(isinstance(a, str) for a in agents)
+        and len(set(agents)) == len(agents)
+    ):
         problems.append("agents: need a nonempty list of unique names")
 
     rule = doc.get("winning_rule")
@@ -128,23 +225,10 @@ def load_scenario(text):
         rule = ft.TOTAL_DOMINANCE
 
     scales = []
-    for spec in doc.get("parameters") or []:
-        name = spec.get("name", "?")
-        scale_doc = spec.get("scale") or {}
-        kind = scale_doc.get("kind", "chain")
-        values = tuple(scale_doc.get("values") or ())
-        covers = tuple(tuple(c) for c in scale_doc.get("covers") or ())
-        numeric = None
-        if scale_doc.get("numeric"):
-            numeric = {}
-            for label, raw in scale_doc["numeric"].items():
-                k = _parse_rational(raw, problems, f"parameter {name} numeric")
-                if k is not None:
-                    numeric[label] = k
-        try:
-            scales.append((name, ft.Scale(name, values, kind, covers, numeric)))
-        except AgendaAlgebraError as exc:
-            problems.append(f"parameter {name}: {exc}")
+    for spec in _field(doc, "parameters", list, problems, "a list of objects"):
+        scale = _parse_scale(spec, problems)
+        if scale is not None:
+            scales.append((scale.name, scale))
     if not scales:
         problems.append("parameters: need at least one")
     if rule == ft.SUM:
@@ -153,10 +237,10 @@ def load_scenario(text):
                 problems.append(
                     f"parameter {name}: the sum rule needs rational chains"
                 )
+    options = _parse_options(doc, problems)
     if problems:
         raise ValidationError(problems)
 
-    options = ScenarioOptions(**(doc.get("options") or {}))
     try:
         space = ft.build_space(scales, cap=options.profile_cap)
     except CapExceeded:
@@ -164,13 +248,19 @@ def load_scenario(text):
     except AgendaAlgebraError as exc:
         raise ValidationError([str(exc)])
 
+    raw_candidates = _field(
+        doc, "candidates", dict, problems, "an object of two named profiles"
+    )
     candidates = {}
-    for cname, assignment in (doc.get("candidates") or {}).items():
+    for cname, assignment in raw_candidates.items():
+        if not isinstance(assignment, dict):
+            problems.append(f"candidate {cname}: not an object")
+            continue
         try:
             candidates[cname] = space.profile_id(assignment)
         except AgendaAlgebraError as exc:
             problems.append(f"candidate {cname}: {exc}")
-    if len(doc.get("candidates") or {}) != 2:
+    if len(raw_candidates) != 2:
         problems.append("candidates: exactly two named profiles are needed")
 
     def expand(issue_id, where):
@@ -181,9 +271,15 @@ def load_scenario(text):
             return []
 
     relevance = {}
-    for agent, ids in (doc.get("relevance") or {}).items():
+    raw_relevance = _field(
+        doc, "relevance", dict, problems, "an object of issue-id lists"
+    )
+    for agent, ids in raw_relevance.items():
         if agent not in agents:
             problems.append(f"relevance: unknown agent {agent!r}")
+            continue
+        if not isinstance(ids, list):
+            problems.append(f"relevance of {agent}: {ids!r} is not a list")
             continue
         out = []
         for issue_id in ids:
@@ -191,14 +287,24 @@ def load_scenario(text):
         relevance[agent] = tuple(dict.fromkeys(out))
 
     influence = []
-    for pair in doc.get("influence") or []:
-        if len(pair) != 2 or any(a not in agents for a in pair):
+    for pair in _field(doc, "influence", list, problems, "a list of pairs"):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(a not in agents for a in pair)
+        ):
             problems.append(f"influence: bad pair {pair!r}")
         else:
             influence.append(tuple(pair))
 
     substitution = []
-    for triple in doc.get("substitution") or []:
+    raw_substitution = _field(
+        doc, "substitution", list, problems, "a list of objects"
+    )
+    for triple in raw_substitution:
+        if not isinstance(triple, dict):
+            problems.append(f"substitution: {triple!r} is not an object")
+            continue
         agent = triple.get("agent")
         if agent not in agents:
             problems.append(f"substitution: unknown agent {agent!r}")
@@ -211,7 +317,7 @@ def load_scenario(text):
 
     # a fresh dict: the parsed source keeps its own ids as written
     extra_agendas = {}
-    for name, ids in (options.extra_agendas or {}).items():
+    for name, ids in options.extra_agendas.items():
         flat = []
         for issue_id in ids:
             flat.extend(expand(issue_id, f"named agenda {name}"))
@@ -374,29 +480,24 @@ def analyze(scenario):
         return Appraisal(agenda, decision, winner)
 
     structure = build_structure(scenario)
-    everyone = structure.agents.everyone()
+    algebra = ht.HeteroAlgebra(structure)
+    agents = structure.agents
+    everyone = agents.everyone()
     per_agent = {
         agent: appraise(structure.agent_agenda(agent))
         for agent in scenario.agents
     }
-    common = appraise(ht.common_agenda(structure, everyone))
-    distributed = appraise(ht.distributed_agenda(structure, everyone))
-    pieces = []
+    common = appraise(algebra.diamond(everyone))
+    distributed = appraise(algebra.rhd(everyone))
+    # each receiver's transform of every other agent's own agenda, met
+    aggregate = structure.lattice.top
     for receiver in scenario.agents:
         for owner in scenario.agents:
-            if receiver == owner:
-                continue
-            own = ht.common_agenda(
-                structure, structure.agents.coalition([owner])
-            )
-            pieces.append(
-                ht.subst_transform(
-                    structure,
-                    structure.agents.coalition([receiver]),
-                    own,
-                )
-            )
-    aggregate = appraise(structure.lattice.meet(pieces))
+            if receiver != owner:
+                own = algebra.diamond(agents.coalition([owner]))
+                piece = algebra.pdra(agents.coalition([receiver]), own)
+                aggregate = algebra.ia_meet(aggregate, piece)
+    aggregate = appraise(aggregate)
 
     candidate_set = None
     if rule == ft.TOTAL_DOMINANCE:

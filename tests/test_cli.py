@@ -74,6 +74,12 @@ def test_lattice_dot(capsys):
     assert out.startswith("digraph") and out.count("->") == 4
 
 
+@pytest.mark.parametrize("ids", ["sum:a,a<=1", "sumset:a,b,a"])
+def test_lattice_refuses_repeated_names(ids, capsys):
+    assert main(["lattice", "--issues", ids]) == 1
+    assert f"issue id {ids!r} repeats parameter 'a'" in capsys.readouterr().err
+
+
 def test_lattice_above_cap(capsys):
     assert main(["lattice", "--params", "a,b,c", "--cap", "2"]) == 0
     assert "lazy" in capsys.readouterr().out

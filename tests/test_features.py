@@ -11,6 +11,7 @@ from agenda_algebra.errors import (
     CapExceeded,
     DegenerateThreshold,
     IncompatibleRule,
+    IndexOutOfRange,
     MalformedScale,
     NonLinearScale,
     UnknownParameter,
@@ -228,6 +229,28 @@ def test_decide_rule_compatibility():
         ft.decide(
             space, ft.SUM, ft.projection_agenda(space, ["f"]), c1, c2
         )
+
+
+@pytest.mark.parametrize("pid", [-1, 4, 9])
+@pytest.mark.parametrize("path", ["projection", "sum", "threshold", "meet"])
+def test_decide_refuses_profile_ids_outside_the_space(path, pid):
+    """-1 does not wrap round to the last profile, on any path."""
+    space = ft.build_space([(x, ft.binary(x)) for x in "xy"])
+    rule, agenda = {
+        "projection": (
+            ft.TOTAL_DOMINANCE, ft.projection_agenda(space, ["x"])
+        ),
+        "sum": (ft.SUM, ft.sum_agenda(space, ["x", "y"])),
+        "threshold": (ft.SUM, ft.threshold_issue(space, ["x", "y"], 0)),
+        "meet": (ft.TOTAL_DOMINANCE, ft.Agenda(
+            ft.projection_agenda(space, ["x"]).partition,
+            ft.MeetOfIssues(("param:x",)),
+        )),
+    }[path]
+    want = rf"profile {pid} outside 0\.\.3"
+    for first, second in ((pid, 0), (0, pid)):
+        with pytest.raises(IndexOutOfRange, match=want):
+            ft.decide(space, rule, agenda, first, second)
 
 
 def test_decide_agrees_with_generic_quotient():

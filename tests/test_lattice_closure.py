@@ -257,6 +257,17 @@ def test_structure_checks_match_triple_scans(issue_set):
     check_structure(issue_set, lt.build_lattice(issue_set))
 
 
+@PROPERTY_SETTINGS
+@given(issue_sets(max_n=10, max_distinct=4))
+def test_boolean_test_counts_meet_irreducibles(issue_set):
+    """|L| = 2^(distinct generators) iff distributive and complemented."""
+    lattice = lt.build_lattice(issue_set)
+    distributive, _ = lattice.is_distributive()
+    assert lattice.is_boolean() == (
+        distributive and lattice.is_complemented()
+    )
+
+
 @settings(max_examples=10, deadline=None, database=None)
 @given(wide_issue_sets(), st.data())
 def test_seventy_generators_with_raised_cap(issue_set, data):

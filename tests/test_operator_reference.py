@@ -9,19 +9,34 @@ thresholds, the car scenario's 64 elements, random threshold and
 bipartition issue sets) and random relations in which many (agent,
 issue) pairs have no replacement.  Agenda results must match the
 references in partition and label, and coalition results in members.
+The Boolean box is checked the same way, at every coalition, on Boolean
+lattices (where it is defined) and on the others (where both it and its
+reference refuse), and the influence modalities against
+``coalitions.influence_diamond`` and ``influence_box``.
 """
 
 import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agenda_algebra import features as ft
 from agenda_algebra import hetero as ht
 from agenda_algebra import lattice as lt
+from agenda_algebra import partitions as pt
 from agenda_algebra import scenario as sc
-from agenda_algebra.coalitions import AgentSet, Coalition, InfluenceRelation
+from agenda_algebra.coalitions import (
+    AgentSet,
+    BoxDirection,
+    Coalition,
+    Direction,
+    InfluenceRelation,
+    influence_box,
+    influence_diamond,
+)
+from agenda_algebra.errors import NotBoolean
 from agenda_algebra.scenarios import scenario_text
 
 from test_lattice_closure import issue_sets
@@ -32,10 +47,41 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
 # -- references on partitions -------------------------------------------------
 
 
+def ref_meet_of(h, ids):
+    """Meet of the named issues in E(W), labelled by exactly those ids."""
+    issues = h.lattice.issue_set
+    parts = [issues.by_id(i).agenda.partition for i in ids]
+    return ft.Agenda(
+        pt.meet_all(parts, issues.n), ft.MeetOfIssues(tuple(sorted(ids)))
+    )
+
+
 def ref_subst_atom(h, agent, issue_id):
     """Meet of the issues the agent would put in place of one issue."""
-    ids = h.substitution.replacements(agent, issue_id)
-    return h.lattice._meet_of([h.lattice.issue_set.by_id(i) for i in ids])
+    return ref_meet_of(h, h.substitution.replacements(agent, issue_id))
+
+
+def ref_box_coalition(h, coalition):
+    """Issues some agent outside the coalition does not find relevant.
+
+    Guarded by the definition of a Boolean lattice: distributive and
+    complemented.
+    """
+    lattice = h.lattice
+    if not lattice.materialized:
+        raise NotBoolean("box needs a materialized Boolean lattice")
+    distributive, _ = lattice.is_distributive()
+    if not distributive or not lattice.is_complemented():
+        raise NotBoolean("the agenda lattice is not a Boolean algebra")
+    picked = []
+    for issue in lattice.issue_set:
+        for name in h.agents.names:
+            if name in coalition:
+                continue
+            if not lattice.leq(h.agent_agenda(name), issue.agenda):
+                picked.append(issue.id)
+                break
+    return ref_meet_of(h, picked)
 
 
 def ref_common_agenda(h, coalition):
@@ -155,6 +201,27 @@ def criterion_7_lattice():
     ]))
 
 
+@st.composite
+def boolean_lattices(draw):
+    """Projections on binary parameters, some doubled by a threshold.
+
+    ``param:x`` and ``sum:x<=0`` are one bipartition, so a doubled
+    parameter gives two generators that share a partition.
+    """
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    space = ft.build_space([(name, ft.binary(name)) for name in names])
+    issues = [
+        lt.Issue(f"param:{name}", ft.projection_agenda(space, [name]))
+        for name in names
+    ]
+    doubled = draw(st.lists(st.sampled_from(names), unique=True))
+    issues += [
+        lt.Issue(f"sum:{name}<=0", ft.threshold_issue(space, [name], 0))
+        for name in doubled
+    ]
+    return lt.build_lattice(lt.IssueSet(draw(st.permutations(issues))))
+
+
 @functools.cache
 def car_structure():
     return sc.build_structure(sc.load_scenario(scenario_text("car")))
@@ -220,7 +287,23 @@ def check_operators(h, agendas, scans=True):
     coalitions = [
         Coalition(h.agents, mask) for mask in range(1 << len(h.agents))
     ]
+    influence = h.influence
     for c in coalitions:
+        same_coalition(
+            alg.diamdot(c),
+            influence_diamond(influence, c, Direction.INFLUENCERS),
+        )
+        same_coalition(
+            alg.diamdotb(c),
+            influence_diamond(influence, c, Direction.AUDIENCE),
+        )
+        same_coalition(
+            alg.boxdot(c), influence_box(influence, c, BoxDirection.ONLY_INTO)
+        )
+        same_coalition(
+            alg.blacksqdot(c),
+            influence_box(influence, c, BoxDirection.ONLY_FROM),
+        )
         same_agenda(alg.diamond(c), ref_common_agenda(h, c))
         same_agenda(alg.rhd(c), ref_distributed_agenda(h, c))
         for e in agendas:
@@ -246,6 +329,21 @@ def check_operators(h, agendas, scans=True):
                 same_agenda(alg.ia_meet(e1, e2), h.lattice.meet([e1, e2]))
 
 
+def check_box(h):
+    """The box at every coalition, or NotBoolean from it and its reference."""
+    alg = ht.HeteroAlgebra(h)
+    for mask in range(1 << len(h.agents)):
+        c = Coalition(h.agents, mask)
+        try:
+            want = ref_box_coalition(h, c)
+        except NotBoolean:
+            with pytest.raises(NotBoolean):
+                alg.box(c)
+            return
+        same_agenda(alg.box(c), want)
+        same_agenda(ht.box_coalition(h, c), want)
+
+
 def argument_agendas(h, elements):
     """Elements plus issue agendas and the agents' own agendas."""
     issues = [issue.agenda for issue in h.lattice.issue_set]
@@ -258,12 +356,14 @@ def argument_agendas(h, elements):
 def test_criterion_7_thresholds_match_references(data):
     h = data.draw(structures(criterion_7_lattice()))
     check_operators(h, argument_agendas(h, h.lattice.elements))
+    check_box(h)
 
 
 @PROPERTY_SETTINGS
 @given(threshold_lattices().flatmap(structures))
 def test_random_threshold_sets_match_references(h):
     check_operators(h, argument_agendas(h, h.lattice.elements))
+    check_box(h)
 
 
 @PROPERTY_SETTINGS
@@ -272,6 +372,27 @@ def test_random_threshold_sets_match_references(h):
 def test_random_bipartition_sets_match_references(h):
     """Generators that share a partition keep their own labels."""
     check_operators(h, argument_agendas(h, h.lattice.elements))
+    check_box(h)
+
+
+@PROPERTY_SETTINGS
+@given(boolean_lattices().flatmap(structures))
+def test_boolean_lattices_match_references(h):
+    """Every coalition's box, generators sharing a partition included."""
+    assert h.lattice.is_boolean()
+    check_operators(h, argument_agendas(h, h.lattice.elements))
+    check_box(h)
+
+
+def test_box_refuses_a_lazy_lattice():
+    space = ft.build_space([(name, ft.binary(name)) for name in "xy"])
+    lazy = lt.build_lattice(lt.projection_issue_set(space), cap=0)
+    agents = AgentSet(["a"])
+    h = ht.HeteroStructure(
+        agents, lazy, relevance=ht.RelevanceRelation([("param:x", "a")])
+    )
+    with pytest.raises(NotBoolean, match="materialized"):
+        ht.box_coalition(h, agents.everyone())
 
 
 @settings(max_examples=8, deadline=None, database=None)
@@ -286,6 +407,7 @@ def test_car_lattice_matches_references(data):
     ))
     agendas = argument_agendas(h, picks)
     check_operators(h, agendas, scans=False)
+    check_box(h)
     for e in agendas[:2]:
         for mask in range(1 << len(h.agents)):
             c = Coalition(h.agents, mask)

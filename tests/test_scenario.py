@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agenda_algebra import features as ft
 from agenda_algebra import partitions as pt
-from agenda_algebra.errors import ParseError, ValidationError
+from agenda_algebra.errors import CapExceeded, ParseError, ValidationError
 from agenda_algebra.scenario import (
     analyze,
     build_structure,
@@ -89,6 +91,100 @@ def test_document_must_be_an_object(text):
     with pytest.raises(ValidationError) as err:
         load_scenario(text)
     assert err.value.problems == ["the document must be a JSON object"]
+
+
+@pytest.mark.parametrize("bad", ["sum:f,f<=1", "sumset:f,p,f"])
+def test_repeated_parameter_names_are_listed(bad):
+    """sum:f,f<=1 would split at 2f <= 1 while its label and decide
+    count f once, so an id that repeats a name is refused."""
+    doc = json.loads(scenario_text("car"))
+    doc["relevance"]["alan"].append(bad)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    assert err.value.problems == [
+        f"relevance of alan: issue id {bad!r} repeats parameter 'f'"
+    ]
+
+
+def _replace(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+# each shape once ended in a raw TypeError or AttributeError
+LOADER_SHAPES = {
+    "unknown option": (
+        ["options"], {"colour": "red"}, "options: unknown key 'colour'"),
+    "profile_cap not an integer": (
+        ["options"], {"profile_cap": "64"},
+        "options: profile_cap needs an integer"),
+    "materialize_cap not an integer": (
+        ["options"], {"materialize_cap": 2.5},
+        "options: materialize_cap needs an integer"),
+    "parameter not an object": (
+        ["parameters", 1], "p", "parameters: 'p' is not an object"),
+    "scale not an object": (
+        ["parameters", 1, "scale"], ["0", "1"],
+        "parameter p: scale is not an object"),
+    "substitution entry not an object": (
+        ["substitution", 0], ["alan", "param:p", "param:p"],
+        "substitution: ['alan', 'param:p', 'param:p'] is not an object"),
+    "influence entry not a list": (
+        ["influence"], [7], "influence: bad pair 7"),
+    "relevance value not a list": (
+        ["relevance", "alan"], 3, "relevance of alan: 3 is not a list"),
+    "candidates not an object": (
+        ["candidates"], ["John", "Mary"], "candidates: need an object"),
+    "unhashable agent name": (
+        ["agents"], [["alan"], "betty"],
+        "agents: need a nonempty list of unique names"),
+}
+
+
+@pytest.mark.parametrize("shape", LOADER_SHAPES)
+def test_malformed_shapes_are_listed(shape):
+    path, value, problem = LOADER_SHAPES[shape]
+    doc = json.loads(scenario_text("hiring_s1"))
+    _replace(doc, path, value)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    assert any(p.startswith(problem) for p in err.value.problems), (
+        err.value.problems
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(BUNDLED), st.data())
+def test_any_field_value_gives_a_report_or_listed_problems(name, data):
+    """One top-level field, or one entry of it, replaced by any JSON."""
+    doc = json.loads(scenario_text(name))
+    key = data.draw(st.sampled_from(sorted(doc)))
+    path = [key]
+    if doc[key] and isinstance(doc[key], (list, dict)) and data.draw(
+        st.booleans()
+    ):
+        entries = doc[key]
+        if isinstance(entries, list):
+            entries = range(len(entries))
+        path.append(data.draw(st.sampled_from(sorted(entries))))
+    _replace(doc, path, data.draw(JSON_VALUES))
+    try:
+        analyze(load_scenario(json.dumps(doc)))
+    except (ValidationError, CapExceeded):
+        pass
 
 
 def test_sumset_sugar_expansion():
