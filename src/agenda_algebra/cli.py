@@ -18,6 +18,7 @@ from . import viz
 from .errors import (
     AgendaAlgebraError,
     CapExceeded,
+    MalformedScale,
     ParseError,
     SizeCap,
     ValidationError,
@@ -61,21 +62,34 @@ def _names_from_issue_ids(ids):
 def cmd_lattice(args):
     from .scenario import issue_from_id, parse_issue_id
 
-    if args.params:
+    if args.params is not None:
         names = args.params.split(",")
-        space = _binary_space(names)
+        try:
+            space = _binary_space(names)
+        except MalformedScale as exc:
+            raise ValidationError([f"--params: {exc}"]) from exc
         issue_set = lt.projection_issue_set(space, names)
     else:
         raw_ids = args.issues.split(";")
         names = _names_from_issue_ids(raw_ids)
         space = _binary_space(names)
-        ids = []
+        issues = {}
+        problems = []
         for raw in raw_ids:
             try:
-                ids.extend(parse_issue_id(raw, space, ft.SUM))
+                for issue_id in parse_issue_id(raw, space, ft.SUM):
+                    if issue_id in issues:
+                        problems.append(
+                            f"--issues: issue {issue_id!r} is named more"
+                            " than once"
+                        )
+                    else:
+                        issues[issue_id] = issue_from_id(issue_id, space)
             except AgendaAlgebraError as exc:
-                raise ValidationError([f"--issues: {exc}"]) from exc
-        issue_set = lt.IssueSet([issue_from_id(i, space) for i in ids])
+                problems.append(f"--issues: {exc}")
+        if problems:
+            raise ValidationError(problems)
+        issue_set = lt.IssueSet(issues.values())
     lattice = lt.build_lattice(issue_set, cap=args.cap)
     if args.dot:
         print(viz.agenda_lattice_dot(lattice), end="")

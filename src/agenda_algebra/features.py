@@ -12,9 +12,10 @@ D, the least common multiple of every sum-ready denominator in the
 space.  A sum-score is then an exact integer sum divided by D, so the
 sum rule, its agendas and its thresholds compare integers, never
 ``Fraction`` objects, and ``decide`` compares just the two profiles it
-is given.  The n x n dominance preorder is built only when an agenda
-without a projection, sum or threshold descriptor needs the quotient
-order.
+is given.  For any other agenda ``decide`` orders the two classes by
+down-sets on the value grid, so it never builds the n x n dominance
+preorder; ``FeatureSpace.dominance`` remains as a reference for tests and
+for drawing the profile order.
 """
 
 from __future__ import annotations
@@ -153,7 +154,9 @@ class FeatureSpace:
     sum-ready scale has a score table of its values times the space's
     denominator D, in int64 when no sum over the p parameters can reach
     2**62 and in Python ints (``dtype=object``) otherwise, so sums stay
-    exact either way.  ``dominance`` is computed on first use.
+    exact either way.  ``dominance``, the n x n coordinatewise preorder,
+    is built only on first use: ``decide`` never needs it, so it serves as
+    the tests' reference and for drawing the profile order.
     """
 
     def __init__(self, params, cap=PROFILE_CAP):
@@ -276,6 +279,27 @@ class FeatureSpace:
                 self.values[pids, k]
             ]
         return total
+
+    def _down_set(self, pids):
+        """Indicator over all profiles of those that some profile in the
+        list ``pids`` dominates coordinatewise.
+
+        The indicator of ``pids`` is reshaped to the value grid (ids run
+        first parameter slowest, so a C-order reshape), then ORed along each
+        parameter's axis through its scale's reflexive order.  The p passes
+        compose to coordinatewise dominance at O(n * |scale|) each, with no
+        n x n matrix.
+        """
+        grid = np.zeros(self.n, dtype=bool)
+        grid[pids] = True
+        before = 1
+        for _, scale in self.params:
+            size = len(scale.values)
+            # this parameter's axis as the middle of (before, size, after):
+            # below[a, i, b] = OR_j leq[i, j] & grid[a, j, b]
+            grid = scale._leq @ grid.reshape(before, size, -1)
+            before *= size
+        return grid.reshape(-1)
 
     def _threshold_bound(self, k):
         """floor(k * D): a sum-score s / D is at most k iff s is at most it.
@@ -463,8 +487,10 @@ def decide(space, rule, agenda, first, second):
     Projection agendas decide by coordinatewise dominance on their
     parameters, compared on the two profiles' value rows; sum and
     threshold agendas by the two integer sum-scores.  Meets of issues and
-    opaque agendas fall back to the quotient of the dominance order, with
-    which the fast paths agree.
+    opaque agendas take the quotient of the dominance order, with which the
+    fast paths agree: one class lies below another iff it lies inside the
+    other's down-set, computed on the value grid without the n x n
+    preorder.
     """
     if agenda.partition.n != space.n:
         raise GroundMismatch("agenda does not live on this space")
@@ -506,8 +532,14 @@ def decide(space, rule, agenda, first, second):
             return _decision(b <= a, a <= b)
     else:
         raise IncompatibleRule(f"unknown winning rule {rule!r}")
-    order = pt.prefers(agenda.partition, space.dominance, first, second)
-    return Decision(order.value)
+    # the quotient of dominance: [x] lies below [y] iff [x] is inside the
+    # down-set of [y]
+    block_first = list(agenda.partition.block_containing(first))
+    block_second = list(agenda.partition.block_containing(second))
+    return _decision(
+        space._down_set(block_first)[block_second].all(),
+        space._down_set(block_second)[block_first].all(),
+    )
 
 
 def _decision(second_below, first_below):

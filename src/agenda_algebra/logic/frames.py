@@ -55,16 +55,6 @@ class RelationalStructure:
             "S": sorted(map(list, self.S)),
         }
 
-    @classmethod
-    def from_json(cls, doc):
-        return cls(
-            C=tuple(doc["C"]),
-            D=tuple(doc["D"]),
-            I=frozenset(map(tuple, doc.get("I", []))),
-            R=frozenset(map(tuple, doc.get("R", []))),
-            S=frozenset(map(tuple, doc.get("S", []))),
-        )
-
 
 def disjoint_union(f1, f2):
     """Tagged union of carriers and relations."""

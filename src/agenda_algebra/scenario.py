@@ -16,6 +16,7 @@ param: issue.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +34,40 @@ from .errors import (
     UnknownParameter,
     ValidationError,
 )
+
+
+# The longest rational literal a document may give, as a threshold, a
+# scale label or a numeric value: at most this many characters before any
+# exponent, and an exponent at most this large.  Fraction's time and
+# memory grow with 10**exponent, and a canonical id must print its
+# threshold, which Python refuses past 4300 digits.
+LITERAL_CAP = 1000
+
+_RATIONAL_SHAPE = re.compile(
+    r"\s*[-+]?(?P<mantissa>[\d_]*(?:\.[\d_]*)?(?:/[\d_]*)?)"
+    r"(?:[eE](?P<exponent>[-+]?[\d_]*))?\s*"
+)
+
+
+def _oversized(text):
+    """Is text shaped as a rational literal, but past LITERAL_CAP?"""
+    shape = _RATIONAL_SHAPE.fullmatch(text)
+    if shape is None:
+        return False
+    exponent = (shape["exponent"] or "").replace("_", "").lstrip("+-0")
+    return (
+        len(shape["mantissa"]) > LITERAL_CAP
+        or len(exponent) > len(str(LITERAL_CAP))
+        or int(exponent or 0) > LITERAL_CAP
+    )
+
+
+def _oversized_problem(text):
+    shown = text if len(text) <= 40 else f"{text[:20]}...({len(text)} chars)"
+    return (
+        f"number {shown!r} has more than {LITERAL_CAP} digits or an"
+        f" exponent past {LITERAL_CAP}"
+    )
 
 
 @dataclass
@@ -56,8 +91,12 @@ class Scenario:
 
 
 def _parse_rational(text, problems, where):
+    text = str(text)
+    if _oversized(text):
+        problems.append(f"{where}: {_oversized_problem(text)}")
+        return None
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         problems.append(f"{where}: {text!r} is not a rational")
         return None
@@ -91,6 +130,10 @@ def parse_issue_id(issue_id, space, rule):
             raise UnknownParameter(f"malformed issue id {issue_id!r}")
         names_part, k_part = body.split("<=", 1)
         names = _distinct(names_part.split(","), issue_id)
+        if _oversized(k_part):
+            raise UnknownParameter(
+                f"threshold in issue id: {_oversized_problem(k_part)}"
+            )
         try:
             k = Fraction(k_part)
         except (ValueError, ZeroDivisionError):
@@ -150,6 +193,11 @@ def _parse_scale(spec, problems):
     if not (isinstance(values, list) and all(map(_is_label, values))):
         problems.append(f"parameter {name}: values need a list of labels")
         return None
+    oversized = [v for v in values if isinstance(v, str) and _oversized(v)]
+    for label in oversized:
+        problems.append(f"parameter {name}: {_oversized_problem(label)}")
+    if oversized:
+        return None
     if not (isinstance(covers, list) and all(
         isinstance(c, list) and len(c) == 2 and all(map(_is_label, c))
         for c in covers
@@ -204,7 +252,8 @@ def load_scenario(text):
     """Parse and fully validate a scenario document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a decode error, or an integer past Python's 4300-digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(["the document must be a JSON object"])

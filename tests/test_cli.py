@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,38 @@ def test_lattice_dot(capsys):
 def test_lattice_refuses_repeated_names(ids, capsys):
     assert main(["lattice", "--issues", ids]) == 1
     assert f"issue id {ids!r} repeats parameter 'a'" in capsys.readouterr().err
+
+
+# input errors once reported as internal errors (exit 3) or tracebacks
+LATTICE_INPUT_ERRORS = {
+    ("--issues", "sum:x<=5"): [
+        "--issues: threshold 5 leaves an empty cell over ['x']"],
+    ("--issues", "param:x;param:x"): [
+        "--issues: issue 'param:x' is named more than once"],
+    ("--issues", "sumset:x,y;sum:y,x<=1;sum:y<=9"): [
+        "--issues: issue 'sum:x,y<=1' is named more than once",
+        "--issues: threshold 9 leaves an empty cell over ['y']"],
+    ("--params", "x,y,x"): ["--params: duplicate parameter names"],
+}
+
+
+@pytest.mark.parametrize("flag,value", LATTICE_INPUT_ERRORS)
+def test_lattice_input_errors_are_listed(flag, value, capsys):
+    assert main(["lattice", flag, value]) == 1
+    problems = LATTICE_INPUT_ERRORS[flag, value]
+    assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+
+
+@pytest.mark.parametrize(
+    "k", ["1e5000", "1e10000000", "9" * 100_000],
+    ids=["1e5000", "1e10000000", "100000-nines"],
+)
+def test_lattice_refuses_huge_thresholds_at_once(k, capsys):
+    start = time.perf_counter()
+    assert main(["lattice", "--issues", f"sum:x<={k}"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "more than 1000 digits or an exponent past 1000" in err
 
 
 def test_lattice_above_cap(capsys):

@@ -350,6 +350,76 @@ def test_decide_matches_fraction_definitions(space, data):
             )
 
 
+DIAMOND_COVERS = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+
+
+@st.composite
+def grid_spaces(draw):
+    """1-4 parameters, each a chain of 1-3 values or the diamond poset."""
+    params = []
+    for i in range(draw(st.integers(1, 4))):
+        name = f"p{i}"
+        if draw(st.booleans()):
+            scale = ft.poset(name, ["bot", "a", "b", "top"], DIAMOND_COVERS)
+        else:
+            scale = ft.chain(name, ["0", "1", "2"][:draw(st.integers(1, 3))])
+        params.append((name, scale))
+    return ft.build_space(params)
+
+
+def quotient_agenda(space, data):
+    """An opaque agenda, a meet of param: issues or a meet of thresholds."""
+    chains = [n for n, s in space.params if s.kind == ft.CHAIN]
+    kinds = ["opaque", "params"] + ["thresholds"] * bool(chains)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "opaque":
+        part = pt.random_partition(data.draw(st.randoms()), space.n)
+        return ft.Agenda(part, ft.Opaque())
+    if kind == "params":
+        names = data.draw(st.lists(st.sampled_from(space.names), unique=True))
+        part = pt.meet_all(
+            [ft.projection_agenda(space, [n]).partition for n in names],
+            space.n,
+        )
+        return ft.Agenda(
+            part, ft.MeetOfIssues(tuple(f"param:{n}" for n in names))
+        )
+    issues = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        names = data.draw(
+            st.lists(st.sampled_from(chains), min_size=1, unique=True)
+        )
+        sums = ft.achievable_sums(space, names)
+        if len(sums) > 1:
+            k = data.draw(st.sampled_from(sums[:-1]))
+            issues.append(ft.threshold_issue(space, names, k))
+    if not issues:
+        return ft.Agenda(
+            pt.Partition.single_block(space.n), ft.MeetOfIssues(())
+        )
+    return ft.meet_agendas(*issues)
+
+
+@PROPERTY_SETTINGS
+@given(grid_spaces(), st.data())
+def test_quotient_decide_matches_dominance_preorder(space, data):
+    """Meets of issues and opaque agendas decide by the quotient of the
+    n x n dominance preorder, ``ref_decide``'s last line: bad ids and an
+    agenda from another space raise as they did there."""
+    agenda = quotient_agenda(space, data)
+    first = data.draw(st.integers(-1, space.n))
+    second = data.draw(st.integers(-1, space.n))
+    other = ft.build_space(space.params + (("extra", ft.binary("extra")),))
+    for rule in (ft.SUM, ft.TOTAL_DOMINANCE):
+        assert outcome(
+            lambda: ft.decide(space, rule, agenda, first, second)
+        ) == outcome(lambda: ref_decide(space, rule, agenda, first, second))
+        assert outcome(
+            lambda: ft.decide(other, rule, agenda, 0, 1)
+        ) == outcome(lambda: ref_decide(other, rule, agenda, 0, 1))
+    assert "dominance" not in space.__dict__
+
+
 @PROPERTY_SETTINGS
 @given(spaces())
 def test_value_matrix_and_dominance(space):
@@ -425,7 +495,7 @@ def test_decide_leaves_dominance_unbuilt():
         ft.threshold_issue(space, ["a"], 0), ft.threshold_issue(space, ["b"], 0)
     )
     assert ft.decide(space, ft.SUM, meet, 0, 15).verdict == ft.PREFERS_SECOND
-    assert "dominance" in space.__dict__
+    assert "dominance" not in space.__dict__
 
 
 def test_build_space_and_decide_allocate_no_square_matrix():
@@ -441,6 +511,13 @@ def test_build_space_and_decide_allocate_no_square_matrix():
             (ft.TOTAL_DOMINANCE, ft.projection_agenda(space, names[:5])),
             (ft.SUM, ft.sum_agenda(space, names[3:9])),
             (ft.SUM, ft.threshold_issue(space, names[::2], 3)),
+            (ft.SUM, ft.meet_agendas(
+                ft.threshold_issue(space, names[:6], 2),
+                ft.threshold_issue(space, names[6:], 4),
+            )),
+            (ft.TOTAL_DOMINANCE, ft.Agenda(
+                ft.projection_agenda(space, names[4:7]).partition, ft.Opaque()
+            )),
         ]
         for rule, agenda in agendas:
             tracemalloc.reset_peak()

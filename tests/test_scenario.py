@@ -1,6 +1,7 @@
 """Scenario loading, validation, analysis, and serialization."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from agenda_algebra import features as ft
 from agenda_algebra import partitions as pt
 from agenda_algebra.errors import CapExceeded, ParseError, ValidationError
 from agenda_algebra.scenario import (
+    LITERAL_CAP,
     analyze,
     build_structure,
     load_scenario,
@@ -84,6 +86,67 @@ def test_malformed_threshold_ids_are_listed(bad):
         for where in ("relevance of alan", "substitution from",
                       "named agenda mine")
     ]
+
+
+HUGE_NUMBERS = ["1e3000000", "1e-1001", "7" * 2000, "1" * 10_000_000]
+HUGE_NUMBER_PLACES = {
+    "threshold": (
+        "relevance of alan: threshold in issue id",
+        lambda doc, number: doc["relevance"]["alan"].append(
+            f"sum:s<={number}"
+        ),
+    ),
+    "label": (
+        "parameter f",
+        lambda doc, number: doc["parameters"][1]["scale"]["values"].append(
+            number
+        ),
+    ),
+    "numeric": (
+        "parameter p numeric",
+        lambda doc, number: doc["parameters"][2]["scale"].update(
+            numeric={"0": number}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("place", HUGE_NUMBER_PLACES)
+@pytest.mark.parametrize(
+    "number", HUGE_NUMBERS, ids=["1e3000000", "1e-1001", "2000-sevens",
+                                 "10000000-ones"],
+)
+def test_huge_numbers_are_listed_at_once(number, place):
+    """A threshold, scale label or numeric value past LITERAL_CAP is a
+    listed problem, refused before Fraction spends 10**exponent on it."""
+    where, put = HUGE_NUMBER_PLACES[place]
+    doc = json.loads(scenario_text("car"))
+    put(doc, number)
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        load_scenario(text)
+    assert time.perf_counter() - start < 1
+    shown = number if len(number) <= 40 else (
+        f"{number[:20]}...({len(number)} chars)"
+    )
+    assert err.value.problems == [
+        f"{where}: number {shown!r} has more than {LITERAL_CAP} digits or an"
+        f" exponent past {LITERAL_CAP}"
+    ]
+
+
+def test_numbers_at_the_cap_still_parse():
+    doc = json.loads(scenario_text("car"))
+    doc["relevance"]["alan"].append("sum:s<=1e-1000")
+    doc["parameters"][2]["scale"]["numeric"] = {"0": "1" * LITERAL_CAP}
+    scenario = load_scenario(json.dumps(doc))
+    assert "sum:s<=1/1" + "0" * 1000 in scenario.relevance["alan"]
+
+
+def test_integers_past_the_json_digit_limit_are_a_parse_error():
+    with pytest.raises(ParseError):
+        load_scenario('{"agents": [' + "1" * 5000 + "]}")
 
 
 @pytest.mark.parametrize("text", ["[1]", '"car"', "3", "null"])
