@@ -7,6 +7,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from .errors import (
     ParseError,
     SizeCap,
     ValidationError,
+    shortened,
 )
 from .logic import conditions, correspondence, fixtures, frames
 from .scenario import analyze, load_scenario
@@ -91,7 +93,10 @@ def cmd_lattice(args):
             raise ValidationError(problems)
         issue_set = lt.IssueSet(issues.values())
     lattice = lt.build_lattice(issue_set, cap=args.cap)
+    lazy = f"{len(issue_set)} generators, above the cap {args.cap}"
     if args.dot:
+        if not lattice.materialized:
+            raise CapExceeded(f"--dot needs a materialized lattice: {lazy}")
         print(viz.agenda_lattice_dot(lattice), end="")
         return 0
     if args.json:
@@ -110,7 +115,7 @@ def cmd_lattice(args):
         return 0
     print(f"generators: {', '.join(i.id for i in issue_set)}")
     if not lattice.materialized:
-        print("lattice kept lazy (generator count above cap)")
+        print(f"lattice kept lazy ({lazy})")
         return 0
     print(f"elements: {len(lattice.elements)}")
     for agenda in lattice.elements:
@@ -126,6 +131,10 @@ def cmd_lattice(args):
 def cmd_check_correspondence(args):
     reports = []
     if args.random is not None:
+        if args.size < 0:
+            raise ValidationError(
+                [f"--size: need a size >= 0, got {args.size}"]
+            )
         rng = random.Random(args.seed)
         count = max(args.random, 0)
         structures = (
@@ -240,6 +249,18 @@ def cmd_decompose(args):
     with open(args.scenario) as fh:
         scenario = load_scenario(fh.read())
     names = args.set.split(",")
+    problems = []
+    for name, count in collections.Counter(names).items():
+        if count > 1:
+            problems.append(
+                f"--set: parameter {shortened(name)!r} is named {count} times"
+            )
+        try:
+            ft.achievable_sums(scenario.space, [name])
+        except AgendaAlgebraError as exc:
+            problems.append(f"--set: {exc}")
+    if problems:
+        raise ValidationError(problems)
     ok = ft.sum_decomposition_check(scenario.space, names)
     sums = ft.achievable_sums(scenario.space, names)
     doc = {

@@ -109,6 +109,11 @@ class UnsupportedCase(AgendaAlgebraError):
 
 # -- scenarios ---------------------------------------------------------------
 
+def shortened(text):
+    """Text for a message: past 40 characters, its first 20 and its length."""
+    return text if len(text) <= 40 else f"{text[:20]}...({len(text)} chars)"
+
+
 class ParseError(AgendaAlgebraError):
     """The scenario document is not valid JSON."""
 

@@ -39,6 +39,7 @@ from .errors import (
     NonLinearScale,
     UnknownParameter,
     WrongSpace,
+    shortened,
 )
 
 PROFILE_CAP = 4096
@@ -237,7 +238,7 @@ class FeatureSpace:
         out = []
         for name in names:
             if name not in self.names:
-                raise UnknownParameter(f"unknown parameter {name}")
+                raise UnknownParameter(f"unknown parameter {shortened(name)}")
             out.append(self.names.index(name))
         return out
 
@@ -378,9 +379,8 @@ class Agenda:
 def projection_agenda(space, names):
     """Kernel of the projection onto the given parameter set."""
     positions = space._param_positions(names)
-    part = pt.Partition.from_key(
-        space.n, lambda pid: tuple(space.profiles[pid][k] for k in positions)
-    )
+    rows = space.values[:, positions].tolist()
+    part = pt.Partition._from_labels(space.n, map(tuple, rows))
     return Agenda(part, ProjectionDescriptor(frozenset(names)))
 
 
@@ -388,7 +388,7 @@ def sum_agenda(space, names):
     """Profiles with equal sum-score over the set fall in one class."""
     positions = _sum_ready_positions(space, names)
     sums = space._sums(positions).tolist()
-    part = pt.Partition.from_key(space.n, sums.__getitem__)
+    part = pt.Partition._from_labels(space.n, sums)
     return Agenda(part, SumDescriptor(frozenset(names)))
 
 
@@ -549,11 +549,7 @@ def _decision(second_below, first_below):
 def sum_decomposition_check(space, names):
     """Does the meet of all threshold issues over a set give its sum agenda?"""
     issues = threshold_issues_for(space, names)
-    if not issues:
-        return sum_agenda(space, names).partition == pt.Partition.single_block(
-            space.n
-        )
-    met = pt.meet_all([a.partition for a in issues])
+    met = pt.meet_all([a.partition for a in issues], space.n)
     return met == sum_agenda(space, names).partition
 
 

@@ -110,9 +110,7 @@ class AgendaLattice:
             for x in issue.agenda.partition.blocks[1]:
                 sig[x] |= 1 << i
         self._sig = sig
-        self._classes = {}
-        for x, s in enumerate(sig):
-            self._classes.setdefault(s, []).append(x)
+        self._distinct_sigs = tuple(dict.fromkeys(sig))
         self.top = Agenda(
             pt.Partition.single_block(self.n), MeetOfIssues(())
         )
@@ -127,10 +125,7 @@ class AgendaLattice:
 
     def _group(self, mask):
         """Partition of the profiles by their signature bits in mask."""
-        groups = {}
-        for s, members in self._classes.items():
-            groups.setdefault(s & mask, []).extend(members)
-        return pt.Partition(self.n, groups.values())
+        return pt.Partition._from_labels(self.n, [s & mask for s in self._sig])
 
     def _label(self, mask):
         return MeetOfIssues(tuple(sorted(i.id for i in self._issues(mask))))
@@ -139,7 +134,7 @@ class AgendaLattice:
         """Generators constant on every class of "group by sig & mask"."""
         first = {}
         varying = 0
-        for s in self._classes:
+        for s in self._distinct_sigs:
             varying |= s ^ first.setdefault(s & mask, s)
         return self._full & ~varying
 

@@ -68,7 +68,8 @@ def correspondence_pair(frame, pair_id, size_cap=3, _algebra=None):
     """Check one condition and its axiom on a frame's complex algebra."""
     if len(frame.C) > size_cap or len(frame.D) > size_cap:
         raise CapExceeded(
-            f"frame exceeds the correspondence size cap {size_cap}"
+            f"frame on carriers of sizes {len(frame.C)} and {len(frame.D)}"
+            f" exceeds the correspondence size cap {size_cap}"
         )
     axiom = PAIRS[pair_id]
     fo = check_condition(frame, pair_id)

@@ -307,7 +307,8 @@ def _check(algebra, sequent, atom_cap, ia_domain, c_domain):
     ia_names, c_names = sequent.atoms()
     if len(ia_names) > atom_cap or len(c_names) > atom_cap:
         raise CapExceeded(
-            f"sequent uses more than {atom_cap} atoms per sort"
+            f"sequent uses {len(ia_names)} IA-atoms and {len(c_names)}"
+            f" C-atoms, more than {atom_cap} atoms per sort"
         )
     for v in _valuations(ia_names, c_names, ia_domain(), c_domain()):
         if not holds(algebra, v, sequent):

@@ -4,10 +4,15 @@ A partition on the ground set {0, .., n-1} stands for the equivalence
 relation whose classes are its blocks.  The lattice order is inclusion of
 relations: finer partitions sit below coarser ones, the all-singletons
 partition is the bottom and the single-block partition is the top.
+
+Every partition comes from a labelling of the elements, one class per
+distinct label: ``Partition._from_labels`` is the only code that numbers
+the classes and orders the blocks.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import warnings
@@ -28,6 +33,10 @@ from .errors import (
 
 COATOM_ENUMERATION_CAP = 20
 
+# 0..m-1 for the largest ground set m seen: blocks hold these int objects,
+# so partitions share them rather than each keeping copies above 256
+_ELEMENTS = ()
+
 
 class Partition:
     """Canonical partition of {0, .., n-1}: blocks sorted by least element.
@@ -42,11 +51,9 @@ class Partition:
     def __init__(self, n, blocks):
         if n < 1:
             raise TooSmall(f"ground set must have size >= 1, got {n}")
-        self.n = n
         block_of = [None] * n
-        canon = []
-        for block in blocks:
-            block = tuple(sorted(block))
+        for i, block in enumerate(blocks):
+            block = sorted(block)
             if not block:
                 raise EmptyBlockError("empty block")
             for x in block:
@@ -54,18 +61,36 @@ class Partition:
                     raise IndexOutOfRange(f"element {x} outside 0..{n - 1}")
                 if block_of[x] is not None:
                     raise OverlapError(f"element {x} occurs in two blocks")
-                block_of[x] = True
-            canon.append(block)
+                block_of[x] = i
         if any(b is None for b in block_of):
             missing = [x for x in range(n) if block_of[x] is None]
             raise CoverageError(f"elements not covered: {missing}")
-        canon.sort(key=lambda b: b[0])
-        self.blocks = tuple(canon)
-        idx = [0] * n
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                idx[x] = i
-        self.block_of = tuple(idx)
+        canon = self._from_labels(n, block_of)
+        self.n, self.blocks, self.block_of = n, canon.blocks, canon.block_of
+
+    @classmethod
+    def _from_labels(cls, n, labels):
+        """One class per distinct label, numbered at its least element.
+
+        Scanning x upward leaves the blocks sorted by least element.
+        """
+        if n < 1:
+            raise TooSmall(f"ground set must have size >= 1, got {n}")
+        global _ELEMENTS
+        elements = _ELEMENTS
+        if len(elements) < n:
+            elements = _ELEMENTS = tuple(range(n))
+        # each label not seen before gets the next class number
+        number = collections.defaultdict(itertools.count().__next__)
+        block_of = list(map(number.__getitem__, labels))
+        blocks = [[] for _ in number]
+        for x, i in zip(elements[:n], block_of, strict=True):
+            blocks[i].append(x)
+        part = cls.__new__(cls)
+        part.n = n
+        part.blocks = tuple(map(tuple, blocks))
+        part.block_of = tuple(block_of)
+        return part
 
     # -- constructors ---------------------------------------------------
 
@@ -99,10 +124,7 @@ class Partition:
     @classmethod
     def from_key(cls, n, key):
         """Group elements by key(x); one block per distinct key value."""
-        groups = {}
-        for x in range(n):
-            groups.setdefault(key(x), []).append(x)
-        return cls(n, groups.values())
+        return cls._from_labels(n, map(key, range(n)))
 
     # -- basics ---------------------------------------------------------
 
@@ -168,10 +190,7 @@ def _check_ground(p, q):
 def meet(p, q):
     """Greatest lower bound in E(W): intersect classes blockwise."""
     _check_ground(p, q)
-    groups = {}
-    for x in range(p.n):
-        groups.setdefault((p.block_of[x], q.block_of[x]), []).append(x)
-    return Partition(p.n, groups.values())
+    return Partition._from_labels(p.n, zip(p.block_of, q.block_of))
 
 
 def meet_all(parts, n=None):
@@ -181,10 +200,10 @@ def meet_all(parts, n=None):
         if n is None:
             raise TooSmall("empty meet needs an explicit ground size")
         return Partition.single_block(n)
-    out = parts[0]
     for p in parts[1:]:
-        out = meet(out, p)
-    return out
+        _check_ground(parts[0], p)
+    labels = zip(*(p.block_of for p in parts))
+    return Partition._from_labels(parts[0].n, labels)
 
 
 def join(p, q):
@@ -198,19 +217,11 @@ def join(p, q):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     for part in (p, q):
         for block in part.blocks:
             for y in block[1:]:
-                union(block[0], y)
-    groups = {}
-    for x in range(p.n):
-        groups.setdefault(find(x), []).append(x)
-    return Partition(p.n, groups.values())
+                parent[find(y)] = find(block[0])
+    return Partition._from_labels(p.n, map(find, range(p.n)))
 
 
 def join_all(parts, n=None):
@@ -433,17 +444,13 @@ def preorder_from_equiv(e, base):
             "induced relation is not transitive; base was degenerate",
             TransitivityWarning,
         )
-        return Preorder(holds, validate=False)
     return Preorder(holds, validate=False)
 
 
 def equiv_from_preorder(pre):
     """Partition of mutual-comparability classes of a preorder."""
     mutual = pre.holds & pre.holds.T
-    seen = {}
-    for x in range(pre.n):
-        seen.setdefault(mutual[x].tobytes(), []).append(x)
-    return Partition(pre.n, seen.values())
+    return Partition._from_labels(pre.n, (row.tobytes() for row in mutual))
 
 
 class Compatibility(enum.Enum):

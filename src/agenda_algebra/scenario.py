@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     UnknownParameter,
     ValidationError,
+    shortened,
 )
 
 
@@ -63,9 +64,8 @@ def _oversized(text):
 
 
 def _oversized_problem(text):
-    shown = text if len(text) <= 40 else f"{text[:20]}...({len(text)} chars)"
     return (
-        f"number {shown!r} has more than {LITERAL_CAP} digits or an"
+        f"number {shortened(text)!r} has more than {LITERAL_CAP} digits or an"
         f" exponent past {LITERAL_CAP}"
     )
 
@@ -104,11 +104,14 @@ def _parse_rational(text, problems, where):
 
 def _distinct(names, issue_id):
     """The parameter names of an id, refused when one repeats."""
-    for k, name in enumerate(names):
-        if name in names[:k]:
+    seen = set()
+    for name in names:
+        if name in seen:
             raise UnknownParameter(
-                f"issue id {issue_id!r} repeats parameter {name!r}"
+                f"issue id {shortened(issue_id)!r} repeats parameter"
+                f" {shortened(name)!r}"
             )
+        seen.add(name)
     return names
 
 
@@ -117,7 +120,7 @@ def parse_issue_id(issue_id, space, rule):
     if issue_id.startswith("param:"):
         name = issue_id[len("param:"):]
         if name not in space.names:
-            raise UnknownParameter(f"unknown parameter {name!r}")
+            raise UnknownParameter(f"unknown parameter {shortened(name)!r}")
         return [f"param:{name}"]
     if issue_id.startswith("sumset:"):
         names = _distinct(issue_id[len("sumset:"):].split(","), issue_id)
@@ -127,7 +130,9 @@ def parse_issue_id(issue_id, space, rule):
     if issue_id.startswith("sum:"):
         body = issue_id[len("sum:"):]
         if "<=" not in body:
-            raise UnknownParameter(f"malformed issue id {issue_id!r}")
+            raise UnknownParameter(
+                f"malformed issue id {shortened(issue_id)!r}"
+            )
         names_part, k_part = body.split("<=", 1)
         names = _distinct(names_part.split(","), issue_id)
         if _oversized(k_part):
@@ -138,14 +143,15 @@ def parse_issue_id(issue_id, space, rule):
             k = Fraction(k_part)
         except (ValueError, ZeroDivisionError):
             raise UnknownParameter(
-                f"malformed threshold {k_part!r} in issue id {issue_id!r}"
+                f"malformed threshold {shortened(k_part)!r} in issue id"
+                f" {shortened(issue_id)!r}"
             ) from None
         canon = ",".join(sorted(names))
         space._param_positions(names)
         return [f"sum:{canon}<={k}"]
     if rule == ft.TOTAL_DOMINANCE and issue_id in space.names:
         return [f"param:{issue_id}"]
-    raise UnknownParameter(f"malformed issue id {issue_id!r}")
+    raise UnknownParameter(f"malformed issue id {shortened(issue_id)!r}")
 
 
 def issue_from_id(issue_id, space):

@@ -228,3 +228,58 @@ def test_decompose(car_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["meet_equals_sum_agenda"] is True
     assert doc["thresholds"] == ["0", "1", "2"]
+
+
+UNSCORABLE = {
+    "agents": ["a", "b"],
+    "parameters": [
+        {"name": "w", "scale": {"kind": "chain", "values": ["low", "high"]}},
+        {"name": "d", "scale": {
+            "kind": "poset", "values": ["0", "1", "2", "3"],
+            "covers": [["0", "1"], ["0", "2"], ["1", "3"], ["2", "3"]],
+        }},
+        {"name": "n", "scale": {"kind": "chain", "values": ["0", "1"]}},
+    ],
+    "winning_rule": "total_dominance",
+    "candidates": {
+        "X": {"w": "low", "d": "0", "n": "0"},
+        "Y": {"w": "high", "d": "1", "n": "1"},
+    },
+    "relevance": {"a": ["param:w"], "b": ["param:n"]},
+    "influence": [],
+    "substitution": [],
+}
+
+
+@pytest.mark.parametrize("doc, names, problems", [
+    ("car", "zz", ["--set: unknown parameter zz"]),
+    ("car", "", ["--set: unknown parameter "]),
+    ("car", "f,f", ["--set: parameter 'f' is named 2 times"]),
+    ("car", "f,zz,f,q", [
+        "--set: parameter 'f' is named 2 times",
+        "--set: unknown parameter zz",
+        "--set: unknown parameter q",
+    ]),
+    ("unscorable", "w", ["--set: scale w: no rational value for label 'low'"]),
+    ("unscorable", "d", ["--set: parameter d is not on a chain"]),
+    ("unscorable", "n,d,n", [
+        "--set: parameter 'n' is named 2 times",
+        "--set: parameter d is not on a chain",
+    ]),
+])
+def test_decompose_lists_bad_names(tmp_path, capsys, doc, names, problems):
+    """Unknown, repeated and non-scorable --set names exit 1, all listed."""
+    path = tmp_path / "doc.json"
+    path.write_text(
+        scenario_text("car") if doc == "car" else json.dumps(UNSCORABLE)
+    )
+    argv = ["decompose", "--scenario", str(path), "--set", names]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+
+
+def test_negative_random_size_is_refused(capsys):
+    argv = ["check-correspondence", "--random", "1", "--size", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --size: need a size >= 0, got -1\n"

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agenda_algebra import partitions as pt
 from agenda_algebra.errors import (
@@ -396,3 +398,95 @@ def test_compatibility_with_256_related_pairs():
     assert pt.compatibility(
         pt.Partition.single_block(32), pre
     ) is pt.Compatibility.NONE
+
+
+# -- the labelling constructor against the validating one --------------------
+
+LABELS = st.sampled_from([0, 1, 2, 7, (), (0,), (1, 2), (2, 1), True, False])
+
+
+@st.composite
+def labellings(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 64))
+    return n, draw(st.lists(LABELS, min_size=n, max_size=n))
+
+
+def grouped(draw, n, labels):
+    """Partition(n, ...) of the label classes, blocks and members shuffled."""
+    groups = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    blocks = [draw(st.permutations(b)) for b in groups.values()]
+    return pt.Partition(n, draw(st.permutations(blocks)))
+
+
+def assert_canonical(p):
+    assert [b[0] for b in p.blocks] == sorted(b[0] for b in p.blocks)
+    assert all(list(b) == sorted(b) for b in p.blocks)
+    assert sorted(x for b in p.blocks for x in b) == list(range(p.n))
+    assert all(p.blocks[p.block_of[x]].count(x) == 1 for x in range(p.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), labellings())
+def test_from_key_matches_validating_constructor(data, labelling):
+    n, labels = labelling
+    got = pt.Partition.from_key(n, labels.__getitem__)
+    want = grouped(data.draw, n, labels)
+    assert_canonical(got)
+    assert got.blocks == want.blocks
+    assert got.block_of == want.block_of
+    assert got == want and hash(got) == hash(want)
+
+
+def ref_meet(p, q):
+    cells = [set(a) & set(b) for a in p.blocks for b in q.blocks]
+    return pt.Partition(p.n, [c for c in cells if c])
+
+
+def ref_join(p, q):
+    groups = [set(b) for b in p.blocks]
+    for block in q.blocks:
+        hit = [g for g in groups if g & set(block)]
+        groups = [g for g in groups if not g & set(block)]
+        groups.append(set(block).union(*hit))
+    return pt.Partition(p.n, groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 64))
+def test_meet_and_join_match_references(data, n):
+    p, q, r = (
+        grouped(data.draw, n, data.draw(labellings(n))[1]) for _ in range(3)
+    )
+    for got, want in (
+        (pt.meet(p, q), ref_meet(p, q)),
+        (pt.join(p, q), ref_join(p, q)),
+        (pt.meet_all([p, q, r]), ref_meet(ref_meet(p, q), r)),
+        (pt.join_all([p, q, r]), ref_join(ref_join(p, q), r)),
+    ):
+        assert_canonical(got)
+        assert got.blocks == want.blocks
+        assert got.block_of == want.block_of
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32), st.sampled_from([0.02, 0.1]))
+def test_equiv_from_preorder_matches_reference(n, seed, density):
+    pre = pt.random_preorder(random.Random(seed), n, density)
+    mutual = pre.holds & pre.holds.T
+    want = pt.Partition(
+        n, {frozenset(np.flatnonzero(mutual[x]).tolist()) for x in range(n)}
+    )
+    got = pt.equiv_from_preorder(pre)
+    assert_canonical(got)
+    assert got.blocks == want.blocks
+    assert got.block_of == want.block_of
+
+
+def test_labelling_constructor_refuses_empty_ground():
+    with pytest.raises(TooSmall):
+        pt.Partition.from_key(0, lambda x: x)
+    with pytest.raises(TooSmall):
+        pt.equiv_from_preorder(pt.Preorder(np.zeros((0, 0), dtype=bool)))

@@ -169,6 +169,46 @@ def test_repeated_parameter_names_are_listed(bad):
     ]
 
 
+LONG = 1_000_000
+LONG_IDS = {
+    "bare": "x" * LONG,
+    "param": "param:" + "x" * (LONG - 6),
+    "sum-name": "sum:" + "x" * (LONG - 7) + "<=1",
+    "sum-no-bound": "sum:" + "x" * (LONG - 4),
+    "sumset-name": "sumset:" + "x" * (LONG - 7),
+    "sumset-many-names": "sumset:" + "".join(
+        f"q{i:07d}," for i in range(LONG // 9)
+    )[: LONG - 7],
+    "threshold-text": "sum:f<=" + "z" * (LONG - 7),
+    "threshold-number": "sum:f<=" + "1" * (LONG - 7),
+    "repeated-name": "sum:" + "b" * (LONG // 2 - 4) + ","
+    + "b" * (LONG // 2 - 4) + "<=1",
+}
+
+
+@pytest.mark.parametrize("name", ["car", "hiring_s1"])
+@pytest.mark.parametrize("kind", LONG_IDS)
+def test_long_ids_are_shortened_in_every_position(kind, name):
+    """A million-character id in relevance, substitution and a named
+    agenda gives one short problem per position, quickly."""
+    bad = LONG_IDS[kind]
+    assert len(bad) == LONG
+    doc = json.loads(scenario_text(name))
+    alan = doc["agents"][0]
+    doc["relevance"][alan].append(bad)
+    doc["substitution"].append({"agent": alan, "from": bad, "to": bad})
+    doc.setdefault("options", {})["extra_agendas"] = {"long": [bad]}
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        load_scenario(text)
+    assert time.perf_counter() - start < 2
+    assert len(err.value.problems) == 4
+    assert all(len(problem) <= 200 for problem in err.value.problems), [
+        problem[:300] for problem in err.value.problems
+    ]
+
+
 def _replace(doc, path, value):
     *keys, last = path
     for key in keys:
