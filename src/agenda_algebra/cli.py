@@ -130,13 +130,21 @@ def cmd_lattice(args):
 
 def cmd_check_correspondence(args):
     reports = []
+    problems = []
     if args.random is not None:
+        if args.random < 0:
+            problems.append(f"--random: need a count >= 0, got {args.random}")
         if args.size < 0:
-            raise ValidationError(
-                [f"--size: need a size >= 0, got {args.size}"]
-            )
+            problems.append(f"--size: need a size >= 0, got {args.size}")
+    elif args.exhaustive < 1:
+        problems.append(
+            f"--exhaustive: need a carrier bound >= 1, got {args.exhaustive}"
+        )
+    if problems:
+        raise ValidationError(problems)
+    if args.random is not None:
         rng = random.Random(args.seed)
-        count = max(args.random, 0)
+        count = args.random
         structures = (
             _random_structure(rng, args.size, args.size)
             for _ in range(count)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,9 +66,11 @@ class Scale:
 
     def __post_init__(self):
         if len(set(self.values)) != len(self.values) or not self.values:
-            raise MalformedScale(f"scale {self.name}: bad value list")
+            raise self._error(MalformedScale, "bad value list")
         if self.kind not in (CHAIN, POSET):
-            raise MalformedScale(f"scale {self.name}: unknown kind {self.kind}")
+            raise self._error(
+                MalformedScale, f"unknown kind {shortened(str(self.kind))}"
+            )
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "covers", tuple(tuple(c) for c in self.covers))
         leq = self._order_matrix()
@@ -77,9 +79,7 @@ class Scale:
         bottoms = [i for i in range(n) if leq[i].all()]
         tops = [i for i in range(n) if leq[:, i].all()]
         if len(bottoms) != 1 or len(tops) != 1:
-            raise MalformedScale(
-                f"scale {self.name}: needs a unique top and bottom"
-            )
+            raise self._error(MalformedScale, "needs a unique top and bottom")
         object.__setattr__(self, "_bottom", bottoms[0])
         object.__setattr__(self, "_top", tops[0])
 
@@ -87,22 +87,21 @@ class Scale:
         n = len(self.values)
         if self.kind == CHAIN:
             if self.covers:
-                raise MalformedScale(
-                    f"scale {self.name}: chains take no cover list"
-                )
+                raise self._error(MalformedScale, "chains take no cover list")
             return np.tril(np.ones((n, n), dtype=bool)).T
         index = {v: i for i, v in enumerate(self.values)}
         m = np.eye(n, dtype=bool)
         for lo, hi in self.covers:
             if lo not in index or hi not in index:
-                raise MalformedScale(
-                    f"scale {self.name}: cover uses unknown label"
-                )
+                raise self._error(MalformedScale, "cover uses unknown label")
             m[index[lo], index[hi]] = True
         closed = pt._transitive_closure(m)
         if (closed & closed.T & ~np.eye(n, dtype=bool)).any():
-            raise MalformedScale(f"scale {self.name}: cover graph has a cycle")
+            raise self._error(MalformedScale, "cover graph has a cycle")
         return closed
+
+    def _error(self, cls, text):
+        return cls(f"scale {shortened(self.name)}: {text}")
 
     def leq(self, i, j):
         """Order between value indices."""
@@ -117,8 +116,9 @@ class Scale:
         try:
             return Fraction(label)
         except (ValueError, ZeroDivisionError):
-            raise NonLinearScale(
-                f"scale {self.name}: no rational value for label {label!r}"
+            raise self._error(
+                NonLinearScale,
+                f"no rational value for label {shortened(repr(label))}",
             )
 
     def is_sum_ready(self):
@@ -359,12 +359,25 @@ class Opaque:
         return self.note or "opaque"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Agenda:
-    """A lattice element: its partition plus how it was generated."""
+    """A lattice element: its partition plus how it was generated.
+
+    Two agendas are equal iff their partitions are, whatever their
+    descriptors or classes: an agenda-lattice element equals the plain
+    agenda with its partition, in either order.
+    """
 
     partition: pt.Partition
-    descriptor: object = field(compare=False, default=Opaque())
+    descriptor: object = Opaque()
+
+    def __eq__(self, other):
+        if not isinstance(other, Agenda):
+            return NotImplemented
+        return self.partition == other.partition
+
+    def __hash__(self):
+        return hash(self.partition)
 
     def label(self):
         return self.descriptor.label()

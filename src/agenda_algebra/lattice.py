@@ -14,10 +14,14 @@ element is held as the bitmask of the generators above it, so
   filtering), never the join of E(W), which may leave the lattice;
 * the order is reverse inclusion.
 
-Masks are Python ints, so no generator count overflows them.  Partitions
-serve only the API edge: ``build_lattice`` builds each element's once,
-and member forms, joins and meets of issues group the profiles by their
-signature bits.
+Masks are Python ints, so no generator count overflows them.  An element
+is a ``LatticeElement``: the lattice and a generator mask.  Its partition,
+"group the profiles by sig & mask", is built only when something reads
+it (``to_json``, ``decide``, a caller), so ``build_lattice`` orders the
+elements by block count, the number of distinct ``sig & mask`` values,
+without building a partition per element.  Equality and hashing are
+those of the partition, so an element equals a plain ``Agenda`` with the
+same partition.
 """
 
 from __future__ import annotations
@@ -91,12 +95,39 @@ class IssueSet:
         raise NotInLattice(f"unknown issue id {issue_id!r}")
 
 
+class LatticeElement(Agenda):
+    """A member of an agenda lattice held as a generator mask.
+
+    ``mask`` is the generator set the element was made from, and its
+    descriptor's label names; the lattice's ``_mask_of`` reads its closed
+    set.  The partition is built on first read and kept.
+    """
+
+    def __init__(self, lattice, mask, descriptor):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "descriptor", descriptor)
+
+    @functools.cached_property
+    def partition(self):
+        return self.lattice._group(self.mask)
+
+    def __eq__(self, other):
+        # two members of one lattice are equal iff their closed sets are
+        if isinstance(other, LatticeElement) and other.lattice is self.lattice:
+            return self.lattice._mask_of(self) == self.lattice._mask_of(other)
+        return super().__eq__(other)
+
+    __hash__ = Agenda.__hash__
+
+
 class AgendaLattice:
     """The meet-closure of an issue set, materialized when small enough.
 
     Element tables (masks, positions) are filled in by ``build_lattice``;
     a lazy lattice answers ``member_form``, ``d_join`` and ``leq`` from
-    the profile signatures alone.
+    the profile signatures alone.  Both hold every element as a
+    ``LatticeElement``, whose partition is built only when read.
     """
 
     def __init__(self, issue_set):
@@ -111,15 +142,20 @@ class AgendaLattice:
                 sig[x] |= 1 << i
         self._sig = sig
         self._distinct_sigs = tuple(dict.fromkeys(sig))
-        self.top = Agenda(
-            pt.Partition.single_block(self.n), MeetOfIssues(())
+        # closed set of each generator, found from its own partition
+        self._generator_masks = tuple(
+            self._closure(1 << i) for i in range(len(self._ids))
         )
+        self._of_generator = {
+            issue.agenda.partition.block_of: mask
+            for issue, mask in zip(issue_set, self._generator_masks)
+        }
+        self.top = LatticeElement(self, 0, MeetOfIssues(()))
         self.bottom = self._element(self._full)
         self.elements = None
         self._masks = ()        # closed set of each listed element
         self._named = ()        # generator set each element's label names
         self._position = {}     # closed set -> index into elements
-        self._by_blocks = {}    # Partition.block_of -> index into elements
 
     # -- generator bitmasks ------------------------------------------------
 
@@ -154,52 +190,57 @@ class AgendaLattice:
         return self._full & ~varying
 
     def _mask_of(self, agenda):
-        """Closed set of a lattice member: the generators above it."""
+        """Closed set of a lattice member: the generators above it.
+
+        This lattice's own elements and its generators' agendas are read
+        in O(1) (a closure for an element made from an unclosed mask on a
+        lazy lattice); any other agenda is checked on its partition.
+        """
+        if isinstance(agenda, LatticeElement) and agenda.lattice is self:
+            mask = agenda.mask
+            return mask if mask in self._position else self._closure(mask)
         part = agenda.partition
         if part.n != self.n:
             raise GroundMismatch("agenda lives on a different ground set")
-        if self.materialized:
-            index = self._by_blocks.get(part.block_of)
-            if index is not None:
-                return self._masks[index]
-        else:
-            mask = self._above(part)
-            keys = {self._sig[block[0]] & mask for block in part.blocks}
-            if len(keys) == len(part.blocks):
-                return mask
+        mask = self._of_generator.get(part.block_of)
+        if mask is not None:
+            return mask
+        mask = self._above(part)
+        keys = {self._sig[block[0]] & mask for block in part.blocks}
+        if len(keys) == len(part.blocks):
+            return mask
         raise NotInLattice(
             f"agenda {agenda.label()} is not a meet of the issue set"
         )
 
-    def _element(self, mask, part=None):
+    def _element(self, mask):
         """Meet of the generators in mask, labelled by every one of them."""
         if not mask:
             return self.top
-        if part is None:
-            part = self._group(mask)
-        return Agenda(part, self._label(mask))
+        return LatticeElement(self, mask, self._label(mask))
 
-    def _materialize(self, masks, generator_masks):
+    def _materialize(self, masks):
         """Fill the element tables from the closed sets.
 
-        Elements are ordered by block count, then label.  A generator is
-        listed under its own id, the first in issue order when several
-        generators share a partition; every other element is listed under
-        all the generators above it.
+        Elements are ordered by block count, the number of distinct
+        ``sig & mask`` values, then label.  A generator is listed under its
+        own id, the first in issue order when several generators share a
+        partition; every other element is listed under all the generators
+        above it.
         """
         own_id = {}
-        for issue_id, mask in zip(self._ids, generator_masks):
+        for issue_id, mask in zip(self._ids, self._generator_masks):
             own_id.setdefault(mask, issue_id)
         rows = []
         for mask in masks:
-            listed = self._element(mask)
             if mask in own_id:
-                listed = Agenda(
-                    listed.partition, MeetOfIssues((own_id[mask],))
+                listed = LatticeElement(
+                    self, mask, MeetOfIssues((own_id[mask],))
                 )
-            rows.append(
-                (len(listed.partition.blocks), listed.label(), mask, listed)
-            )
+            else:
+                listed = self._element(mask)
+            blocks = len({s & mask for s in self._distinct_sigs})
+            rows.append((blocks, listed.label(), mask, listed))
         rows.sort(key=lambda row: row[:2])
         self.elements = tuple(row[3] for row in rows)
         self._masks = tuple(row[2] for row in rows)
@@ -208,9 +249,6 @@ class AgendaLattice:
             for mask in self._masks
         )
         self._position = {mask: k for k, mask in enumerate(self._masks)}
-        self._by_blocks = {
-            e.partition.block_of: k for k, e in enumerate(self.elements)
-        }
 
     # -- lattice operations ------------------------------------------------
 
@@ -238,7 +276,7 @@ class AgendaLattice:
         An agenda belongs to the lattice iff it equals the meet of the
         generators above it (the top element always belongs).
         """
-        return self._element(self._mask_of(agenda), agenda.partition)
+        return self._element(self._mask_of(agenda))
 
     def __contains__(self, agenda):
         try:
@@ -348,7 +386,12 @@ class AgendaLattice:
         return True
 
     def covers(self):
-        """Covering pairs (lower, upper) of the materialized order.
+        """Covering pairs (lower, upper) of the materialized order."""
+        elems = self.elements
+        return [(elems[a], elems[b]) for a, b in self.cover_indices()]
+
+    def cover_indices(self):
+        """Covering pairs as (lower, upper) indices into ``elements``.
 
         The lower covers of an element are the minimal closed sets among
         closure(C | generator) over the generators outside its set C.
@@ -366,12 +409,7 @@ class AgendaLattice:
                     other != lower and not other & ~lower for other in below
                 ):
                     uppers[self._position[lower]].append(k)
-        elems = self.elements
-        return [
-            (elems[a], elems[b])
-            for a in range(len(elems))
-            for b in sorted(uppers[a])
-        ]
+        return [(a, b) for a, ups in enumerate(uppers) for b in sorted(ups)]
 
 
 def build_lattice(issue_set, cap=MATERIALIZE_CAP):
@@ -380,15 +418,14 @@ def build_lattice(issue_set, cap=MATERIALIZE_CAP):
     Breadth-first from the empty set (the top element), every closed set
     C is extended by each generator outside it, as closure(C | generator),
     so the cost tracks the number of elements times the number of
-    distinct generators.  Each element's partition is built once.
+    distinct generators.  No element's partition is built.
     """
     lattice = AgendaLattice(issue_set)
     if len(issue_set) > cap:
         return lattice
     closure = lattice._closure
     # a single generator closes to every generator sharing its partition
-    generator_masks = [closure(1 << i) for i in range(len(issue_set))]
-    steps = list(dict.fromkeys(generator_masks))
+    steps = list(dict.fromkeys(lattice._generator_masks))
     found = {0}
     frontier = [0]
     while frontier:
@@ -401,7 +438,7 @@ def build_lattice(issue_set, cap=MATERIALIZE_CAP):
                         found.add(closed)
                         fresh.append(closed)
         frontier = fresh
-    lattice._materialize(found, generator_masks)
+    lattice._materialize(found)
     return lattice
 
 

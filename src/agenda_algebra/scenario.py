@@ -98,7 +98,7 @@ def _parse_rational(text, problems, where):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        problems.append(f"{where}: {text!r} is not a rational")
+        problems.append(f"{where}: {shortened(repr(text))} is not a rational")
         return None
 
 
@@ -172,7 +172,7 @@ def _field(doc, key, kind, problems, shape):
     value = doc.get(key) or kind()
     if isinstance(value, kind):
         return value
-    problems.append(f"{key}: need {shape}, got {value!r}")
+    problems.append(f"{key}: need {shape}, got {shortened(repr(value))}")
     return kind()
 
 
@@ -183,41 +183,46 @@ def _is_label(value):
 def _parse_scale(spec, problems):
     """The scale one parameter entry declares, or None with its problem."""
     if not isinstance(spec, dict):
-        problems.append(f"parameters: {spec!r} is not an object")
+        problems.append(
+            f"parameters: {shortened(repr(spec))} is not an object"
+        )
         return None
     name = spec.get("name", "?")
     if not isinstance(name, str):
-        problems.append(f"parameters: name {name!r} is not a string")
+        problems.append(
+            f"parameters: name {shortened(repr(name))} is not a string"
+        )
         return None
+    where = f"parameter {shortened(name)}"
     scale_doc = spec.get("scale") or {}
     if not isinstance(scale_doc, dict):
-        problems.append(f"parameter {name}: scale is not an object")
+        problems.append(f"{where}: scale is not an object")
         return None
     values = scale_doc.get("values") or []
     covers = scale_doc.get("covers") or []
     numeric_doc = scale_doc.get("numeric") or {}
     if not (isinstance(values, list) and all(map(_is_label, values))):
-        problems.append(f"parameter {name}: values need a list of labels")
+        problems.append(f"{where}: values need a list of labels")
         return None
     oversized = [v for v in values if isinstance(v, str) and _oversized(v)]
     for label in oversized:
-        problems.append(f"parameter {name}: {_oversized_problem(label)}")
+        problems.append(f"{where}: {_oversized_problem(label)}")
     if oversized:
         return None
     if not (isinstance(covers, list) and all(
         isinstance(c, list) and len(c) == 2 and all(map(_is_label, c))
         for c in covers
     )):
-        problems.append(f"parameter {name}: covers need a list of label pairs")
+        problems.append(f"{where}: covers need a list of label pairs")
         return None
     if not isinstance(numeric_doc, dict):
-        problems.append(f"parameter {name}: numeric needs an object")
+        problems.append(f"{where}: numeric needs an object")
         return None
     numeric = None
     if numeric_doc:
         numeric = {}
         for label, raw in numeric_doc.items():
-            k = _parse_rational(raw, problems, f"parameter {name} numeric")
+            k = _parse_rational(raw, problems, f"{where} numeric")
             if k is not None:
                 numeric[label] = k
     try:
@@ -226,7 +231,7 @@ def _parse_scale(spec, problems):
             tuple(map(tuple, covers)), numeric,
         )
     except AgendaAlgebraError as exc:
-        problems.append(f"parameter {name}: {exc}")
+        problems.append(f"{where}: {exc}")
         return None
 
 
@@ -246,11 +251,14 @@ def _parse_options(doc, problems):
                     "options: extra_agendas needs an object of issue-id lists"
                 )
         elif key not in ("materialize_cap", "profile_cap"):
-            problems.append(f"options: unknown key {key!r}")
+            problems.append(f"options: unknown key {shortened(repr(key))}")
         elif isinstance(value, int) and not isinstance(value, bool):
             setattr(options, key, value)
         else:
-            problems.append(f"options: {key} needs an integer, got {value!r}")
+            problems.append(
+                f"options: {key} needs an integer,"
+                f" got {shortened(repr(value))}"
+            )
     return options
 
 
@@ -276,7 +284,7 @@ def load_scenario(text):
 
     rule = doc.get("winning_rule")
     if rule not in (ft.TOTAL_DOMINANCE, ft.SUM):
-        problems.append(f"winning_rule: unknown rule {rule!r}")
+        problems.append(f"winning_rule: unknown rule {shortened(repr(rule))}")
         rule = ft.TOTAL_DOMINANCE
 
     scales = []
@@ -290,7 +298,8 @@ def load_scenario(text):
         for name, scale in scales:
             if not scale.is_sum_ready():
                 problems.append(
-                    f"parameter {name}: the sum rule needs rational chains"
+                    f"parameter {shortened(name)}: the sum rule needs"
+                    " rational chains"
                 )
     options = _parse_options(doc, problems)
     if problems:
@@ -331,10 +340,15 @@ def load_scenario(text):
     )
     for agent, ids in raw_relevance.items():
         if agent not in agents:
-            problems.append(f"relevance: unknown agent {agent!r}")
+            problems.append(
+                f"relevance: unknown agent {shortened(repr(agent))}"
+            )
             continue
         if not isinstance(ids, list):
-            problems.append(f"relevance of {agent}: {ids!r} is not a list")
+            problems.append(
+                f"relevance of {shortened(agent)}:"
+                f" {shortened(repr(ids))} is not a list"
+            )
             continue
         out = []
         for issue_id in ids:
@@ -348,7 +362,7 @@ def load_scenario(text):
             or len(pair) != 2
             or any(a not in agents for a in pair)
         ):
-            problems.append(f"influence: bad pair {pair!r}")
+            problems.append(f"influence: bad pair {shortened(repr(pair))}")
         else:
             influence.append(tuple(pair))
 
@@ -358,11 +372,15 @@ def load_scenario(text):
     )
     for triple in raw_substitution:
         if not isinstance(triple, dict):
-            problems.append(f"substitution: {triple!r} is not an object")
+            problems.append(
+                f"substitution: {shortened(repr(triple))} is not an object"
+            )
             continue
         agent = triple.get("agent")
         if agent not in agents:
-            problems.append(f"substitution: unknown agent {agent!r}")
+            problems.append(
+                f"substitution: unknown agent {shortened(repr(agent))}"
+            )
             continue
         src = expand(triple.get("from", ""), "substitution from")
         dst = expand(triple.get("to", ""), "substitution to")

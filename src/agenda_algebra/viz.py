@@ -50,12 +50,8 @@ def agenda_lattice_dot(lattice):
         raise CapExceeded("the lattice is not materialized")
     if len(elems) > HASSE_NODE_CAP:
         raise CapExceeded(f"{len(elems)} elements exceed cap {HASSE_NODE_CAP}")
-    keys = {a.partition: f"e{i}" for i, a in enumerate(elems)}
-    nodes = [(keys[a.partition], a.label()) for a in elems]
-    edges = sorted(
-        (keys[lo.partition], keys[hi.partition])
-        for lo, hi in lattice.covers()
-    )
+    nodes = [(f"e{i}", a.label()) for i, a in enumerate(elems)]
+    edges = sorted((f"e{lo}", f"e{hi}") for lo, hi in lattice.cover_indices())
     return _dot("agendas", nodes, edges)
 
 

@@ -283,3 +283,22 @@ def test_negative_random_size_is_refused(capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: --size: need a size >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv, problems", [
+    (["--random", "-5"], ["--random: need a count >= 0, got -5"]),
+    (["--random", "-1", "--size", "-2"], [
+        "--random: need a count >= 0, got -1",
+        "--size: need a size >= 0, got -2",
+    ]),
+    (["--exhaustive", "0"],
+     ["--exhaustive: need a carrier bound >= 1, got 0"]),
+    (["--exhaustive", "-3"],
+     ["--exhaustive: need a carrier bound >= 1, got -3"]),
+])
+def test_negative_counts_are_refused(argv, problems, capsys):
+    """A count below its least value is an input error, not an empty scan."""
+    assert main(["check-correspondence", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {'; '.join(problems)}\n"
+    assert captured.out == ""

@@ -347,3 +347,89 @@ def test_foreign_ground_and_non_members_are_refused(cap):
     with pytest.raises(NotInLattice):
         lattice.leq(outsider, member)
     assert [i.id for i in lattice.issues_above(lattice.bottom)] == ["a", "b"]
+
+
+# -- lazy elements ------------------------------------------------------------
+
+
+@st.composite
+def feature_issue_sets(draw):
+    """Projection and threshold issues on a small space of chains."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    names = [f"x{i}" for i in range(len(sizes))]
+    space = ft.build_space([
+        (name, ft.chain(name, [str(v) for v in range(size)]))
+        for name, size in zip(names, sizes)
+    ])
+    issues = {}
+    for name, size in zip(names, sizes):
+        if size == 2 and draw(st.booleans()):
+            issues[f"param:{name}"] = ft.projection_agenda(space, [name])
+    for _ in range(draw(st.integers(0 if issues else 1, 3))):
+        subset = draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=len(names),
+            unique=True,
+        ))
+        k = draw(st.sampled_from(ft.achievable_sums(space, subset)[:-1]))
+        issue_id = f"sum:{','.join(sorted(subset))}<={k}"
+        issues[issue_id] = ft.threshold_issue(space, subset, k)
+    issues = draw(st.permutations(list(issues.items())))
+    return lt.IssueSet(lt.Issue(i, agenda) for i, agenda in issues)
+
+
+def ref_partition(issue_set, element):
+    """Meet of the partitions of the generators the element's label names."""
+    return ref_meet_of(issue_set, element.descriptor.issue_ids)
+
+
+@PROPERTY_SETTINGS
+@given(feature_issue_sets())
+def test_lazy_elements_match_generator_meets(issue_set):
+    lattice = lt.build_lattice(issue_set)
+    elements = lattice.elements
+    refs = [ref_partition(issue_set, e) for e in elements]
+    # the order, from reference partitions, before any element builds its own
+    keys = [(len(part.blocks), e.label()) for part, e in zip(refs, elements)]
+    assert keys == sorted(keys)
+    # equality and hashing against plain agendas, in both directions
+    lazy = lt.build_lattice(issue_set, cap=0)
+    for k, (part, element) in enumerate(zip(refs, elements)):
+        plain = ft.Agenda(part, ft.Opaque("plain"))
+        assert element == plain and plain == element
+        assert not element != plain and not plain != element
+        assert hash(element) == hash(plain)
+        assert plain in {element} and element in {plain}
+        assert lattice.member_form(plain) == plain
+        assert plain == lattice.member_form(plain)
+        assert lazy.member_form(plain) == element
+        assert element == lazy.member_form(plain)
+        other = refs[(k + 1) % len(refs)]
+        if len(refs) > 1:
+            assert element != ft.Agenda(other)
+            assert ft.Agenda(other) != element
+    for part, element in zip(refs, elements):
+        assert element.partition == part
+    assert [(e.partition, e.label()) for e in elements] == ref_elements(
+        issue_set
+    )
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_projection_lattice_builds_no_partition_per_element(k, monkeypatch):
+    """2^k elements, yet build_lattice builds no partition at all."""
+    names = [f"x{i}" for i in range(k)]
+    space = ft.build_space([(name, ft.binary(name)) for name in names])
+    issue_set = lt.projection_issue_set(space, names)
+    built = []
+    from_labels = pt.Partition._from_labels.__func__
+
+    def counting(cls, n, labels):
+        built.append(n)
+        return from_labels(cls, n, labels)
+
+    monkeypatch.setattr(pt.Partition, "_from_labels", classmethod(counting))
+    lattice = lt.build_lattice(issue_set)
+    assert len(lattice.elements) == 2 ** k
+    assert built == []
+    assert len(lattice.elements[-1].partition.blocks) == 2 ** k
+    assert built == [space.n]

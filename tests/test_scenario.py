@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from agenda_algebra import features as ft
 from agenda_algebra import partitions as pt
+from agenda_algebra.cli import main
 from agenda_algebra.errors import CapExceeded, ParseError, ValidationError
 from agenda_algebra.scenario import (
     LITERAL_CAP,
@@ -207,6 +208,51 @@ def test_long_ids_are_shortened_in_every_position(kind, name):
     assert all(len(problem) <= 200 for problem in err.value.problems), [
         problem[:300] for problem in err.value.problems
     ]
+
+
+def _long_parameter(values):
+    def put(doc):
+        doc["parameters"].append({
+            "name": "p" * LONG, "scale": {"kind": "chain", "values": values},
+        })
+    return put
+
+
+def _long_value(key, value=None):
+    def put(doc):
+        doc[key] = value if value is not None else key[0] * LONG
+    return put
+
+
+LONG_VALUES = {
+    # non-numeric labels under car's sum rule
+    "parameter-name": _long_parameter(["low", "high"]),
+    "parameter-name-bad-scale": _long_parameter(["a", "a"]),
+    "influence": _long_value("influence"),
+    "winning-rule": _long_value("winning_rule"),
+    "option": _long_value("options", {"materialize_cap": "c" * LONG}),
+}
+
+
+@pytest.mark.parametrize("place", LONG_VALUES)
+def test_long_values_are_shortened_in_loader_problems(place, tmp_path, capsys):
+    """A million-character value anywhere in the document gives short
+    problem lines and exit code 1."""
+    doc = json.loads(scenario_text("car"))
+    LONG_VALUES[place](doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(text)
+    assert err.value.problems
+    assert all(len(problem) <= 200 for problem in err.value.problems), [
+        problem[:300] for problem in err.value.problems
+    ]
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {'; '.join(err.value.problems)}\n"
 
 
 def _replace(doc, path, value):
