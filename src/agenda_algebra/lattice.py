@@ -112,14 +112,6 @@ class LatticeElement(Agenda):
     def partition(self):
         return self.lattice._group(self.mask)
 
-    def __eq__(self, other):
-        # two members of one lattice are equal iff their closed sets are
-        if isinstance(other, LatticeElement) and other.lattice is self.lattice:
-            return self.lattice._mask_of(self) == self.lattice._mask_of(other)
-        return super().__eq__(other)
-
-    __hash__ = Agenda.__hash__
-
 
 class AgendaLattice:
     """The meet-closure of an issue set, materialized when small enough.
@@ -142,13 +134,10 @@ class AgendaLattice:
                 sig[x] |= 1 << i
         self._sig = sig
         self._distinct_sigs = tuple(dict.fromkeys(sig))
-        # closed set of each generator, found from its own partition
-        self._generator_masks = tuple(
-            self._closure(1 << i) for i in range(len(self._ids))
-        )
+        # generator index of each generator's own partition
         self._of_generator = {
-            issue.agenda.partition.block_of: mask
-            for issue, mask in zip(issue_set, self._generator_masks)
+            issue.agenda.partition.block_of: i
+            for i, issue in enumerate(issue_set)
         }
         self.top = LatticeElement(self, 0, MeetOfIssues(()))
         self.bottom = self._element(self._full)
@@ -158,6 +147,11 @@ class AgendaLattice:
         self._position = {}     # closed set -> index into elements
 
     # -- generator bitmasks ------------------------------------------------
+
+    @functools.cached_property
+    def _generator_masks(self):
+        """Closed set of each generator, computed on first use."""
+        return tuple(self._closure(1 << i) for i in range(len(self._ids)))
 
     def _group(self, mask):
         """Partition of the profiles by their signature bits in mask."""
@@ -202,9 +196,9 @@ class AgendaLattice:
         part = agenda.partition
         if part.n != self.n:
             raise GroundMismatch("agenda lives on a different ground set")
-        mask = self._of_generator.get(part.block_of)
-        if mask is not None:
-            return mask
+        index = self._of_generator.get(part.block_of)
+        if index is not None:
+            return self._generator_masks[index]
         mask = self._above(part)
         keys = {self._sig[block[0]] & mask for block in part.blocks}
         if len(keys) == len(part.blocks):
@@ -362,7 +356,7 @@ class AgendaLattice:
         partitions, one per closure(generator).
         """
         self._require_materialized()
-        k = len({self._closure(1 << i) for i in range(len(self._ids))})
+        k = len(set(self._generator_masks))
         return len(self.elements) == 1 << k
 
     def issues_meet_prime(self):
@@ -386,12 +380,7 @@ class AgendaLattice:
         return True
 
     def covers(self):
-        """Covering pairs (lower, upper) of the materialized order."""
-        elems = self.elements
-        return [(elems[a], elems[b]) for a, b in self.cover_indices()]
-
-    def cover_indices(self):
-        """Covering pairs as (lower, upper) indices into ``elements``.
+        """Covering pairs (lower, upper) of the materialized order.
 
         The lower covers of an element are the minimal closed sets among
         closure(C | generator) over the generators outside its set C.
@@ -409,7 +398,12 @@ class AgendaLattice:
                     other != lower and not other & ~lower for other in below
                 ):
                     uppers[self._position[lower]].append(k)
-        return [(a, b) for a, ups in enumerate(uppers) for b in sorted(ups)]
+        elems = self.elements
+        return [
+            (elems[a], elems[b])
+            for a in range(len(elems))
+            for b in sorted(uppers[a])
+        ]
 
 
 def build_lattice(issue_set, cap=MATERIALIZE_CAP):

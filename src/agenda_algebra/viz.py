@@ -50,8 +50,10 @@ def agenda_lattice_dot(lattice):
         raise CapExceeded("the lattice is not materialized")
     if len(elems) > HASSE_NODE_CAP:
         raise CapExceeded(f"{len(elems)} elements exceed cap {HASSE_NODE_CAP}")
+    # key nodes by identity, so no element builds its partition
+    key = {id(a): f"e{i}" for i, a in enumerate(elems)}
     nodes = [(f"e{i}", a.label()) for i, a in enumerate(elems)]
-    edges = sorted((f"e{lo}", f"e{hi}") for lo, hi in lattice.cover_indices())
+    edges = sorted((key[id(lo)], key[id(hi)]) for lo, hi in lattice.covers())
     return _dot("agendas", nodes, edges)
 
 
