@@ -40,16 +40,11 @@ from .errors import (
     NotInLattice,
     NotMaterialized,
 )
-from .features import (
-    Agenda,
-    MeetOfIssues,
-    meet_agendas,
-    projection_agenda,
-)
+from .features import Agenda, MeetOfIssues, projection_agenda
 
 MATERIALIZE_CAP = 20
-# meets candidate_set_C may take: two agents with five parameters each
-# need 25; four agents with three each need 3^12 = 531,441
+# unions candidate_set_C may walk, at most prod(p_j + 1): two agents
+# with five parameters each walk 25, four agents with three each 4^4 = 256
 CANDIDATE_CAP = 10_000
 
 
@@ -281,12 +276,6 @@ class AgendaLattice:
         except GroundMismatch:
             return False
 
-    def meet(self, agendas):
-        agendas = list(agendas)
-        if not agendas:
-            return self.top
-        return meet_agendas(*agendas)
-
     def d_join(self, agendas):
         """Least upper bound inside the lattice by generator filtering."""
         masks = [self._mask_of(a) for a in agendas]
@@ -446,41 +435,44 @@ def projection_issue_set(space, names=None):
     return IssueSet(issues)
 
 
-def coarsenings_crs1(space, names):
-    """Agendas obtained by dropping one parameter from the given set."""
-    names = sorted(names)
-    if not names:
-        raise EmptyAgendaSet("cannot coarsen the empty parameter set")
-    out = []
-    for drop in names:
-        rest = [x for x in names if x != drop]
-        out.append(projection_agenda(space, rest))
-    return out
-
-
 def candidate_set_C(space, agent_params):
     """All meets where each agent vetoes one parameter of every other agent.
 
-    ``agent_params`` maps each agent to their relevant parameter set; the
-    result is duplicate-free and ordered by coarseness then label.
+    ``agent_params`` maps each agent to their relevant parameter set.  A
+    veto leaves the projection onto P_j - {d} of the vetoed agent j, and
+    projections meet by the union of their parameter sets.  So agent j's
+    k - 1 vetoers leave P_j - {d} when all of them drop the same d, and
+    all of P_j when two of them drop different parameters (k >= 3 and
+    |P_j| >= 2).  Every meet is the projection onto one union of such
+    per-agent sets, and every union is reached: one projection per
+    distinct union, of at most prod(p_j + 1), and no partition meet.  The
+    result is duplicate-free by partition and ordered by coarseness then
+    label.
     """
     agents = sorted(agent_params)
     if len(agents) < 2:
         raise EmptyAgendaSet("the candidate set needs at least two agents")
-    slots = []
-    for i in agents:
-        for j in agents:
-            if i != j:
-                slots.append((i, j, coarsenings_crs1(space, agent_params[j])))
-    total = math.prod(len(options) for _, _, options in slots)
+    options = []
+    for agent in agents:
+        names = frozenset(agent_params[agent])
+        if not names:
+            raise EmptyAgendaSet("cannot coarsen the empty parameter set")
+        kept = [names - {drop} for drop in sorted(names)]
+        if len(agents) >= 3 and len(names) >= 2:
+            kept.append(names)
+        options.append(kept)
+    total = math.prod(map(len, options))
     if total > CANDIDATE_CAP:
         raise CapExceeded(
-            f"the candidate set takes {total} meets, above the cap "
+            f"the candidate set walks {total} unions, above the cap "
             f"{CANDIDATE_CAP}"
         )
+    unions = dict.fromkeys(
+        frozenset().union(*choice) for choice in itertools.product(*options)
+    )
     out = {}
-    for choice in itertools.product(*(options for _, _, options in slots)):
-        agenda = meet_agendas(*choice)
+    for union in unions:
+        agenda = projection_agenda(space, sorted(union))
         out.setdefault(agenda.partition, agenda)
     return sorted(
         out.values(), key=lambda a: (-len(a.partition.blocks), a.label())

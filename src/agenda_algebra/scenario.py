@@ -252,13 +252,19 @@ def _parse_options(doc, problems):
                 )
         elif key not in ("materialize_cap", "profile_cap"):
             problems.append(f"options: unknown key {shortened(repr(key))}")
-        elif isinstance(value, int) and not isinstance(value, bool):
-            setattr(options, key, value)
-        else:
+        elif not isinstance(value, int) or isinstance(value, bool):
             problems.append(
                 f"options: {key} needs an integer,"
                 f" got {shortened(repr(value))}"
             )
+        elif value > getattr(ScenarioOptions, key):
+            # a document may lower a cap, never raise it past memory
+            problems.append(
+                f"options: {key} {shortened(str(value))} is above the"
+                f" built-in cap {getattr(ScenarioOptions, key)}"
+            )
+        else:
+            setattr(options, key, value)
     return options
 
 
@@ -391,9 +397,18 @@ def load_scenario(text):
     # a fresh dict: the parsed source keeps its own ids as written
     extra_agendas = {}
     for name, ids in options.extra_agendas.items():
+        where = f"named agenda {shortened(name)}"
         flat = []
         for issue_id in ids:
-            flat.extend(expand(issue_id, f"named agenda {name}"))
+            flat.extend(expand(issue_id, where))
+        if rule == ft.SUM and flat and all(
+            issue_id.startswith("param:") for issue_id in flat
+        ):
+            # their meet is a projection, which the sum rule cannot decide
+            problems.append(
+                f"{where}: only param: issues, and projection agendas need"
+                " the total-dominance rule"
+            )
         extra_agendas[name] = flat
     options.extra_agendas = extra_agendas
 

@@ -153,32 +153,54 @@ def test_check_correspondence_random_zero(capsys):
     assert doc == {"disagreements": 0, "pair_checks": 0, "structures": 0}
 
 
-def test_candidate_set_cap_exit_code(tmp_path, capsys):
-    """Four agents with three parameters each: 3^12 meets, refused."""
-    names = ["a", "b", "c", "d"]
-    agents = {f"j{i}": names[:i] + names[i + 1:] for i in range(4)}
-    doc = {
-        "agents": list(agents),
+def _dominance_document(agent_params, names):
+    """Binary parameters, each agent finding its own param: issues relevant."""
+    return {
+        "agents": list(agent_params),
         "parameters": [
             {"name": x, "scale": {"kind": "chain", "values": ["0", "1"]}}
             for x in names
         ],
         "winning_rule": "total_dominance",
         "candidates": {
-            "P": dict.fromkeys(names, "1"), "Q": dict.fromkeys(names, "0"),
+            "P": dict.fromkeys(names, "1"),
+            "Q": {x: "01"[i % 2] for i, x in enumerate(names)},
         },
         "relevance": {
             agent: [f"param:{x}" for x in params]
-            for agent, params in agents.items()
+            for agent, params in agent_params.items()
         },
         "influence": [],
         "substitution": [],
     }
+
+
+def test_analyze_four_agent_candidate_set(tmp_path, capsys):
+    """Four agents with three of six parameters each walk at most 4^4
+    unions, where the product of their vetoes takes 3^12 meets."""
+    names = ["a", "b", "c", "d", "e", "f"]
+    agents = {
+        "j0": ["a", "b", "c"], "j1": ["c", "d", "e"],
+        "j2": ["a", "e", "f"], "j3": ["b", "d", "f"],
+    }
     path = tmp_path / "four.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_dominance_document(agents, names)))
+    assert main(["--json", "analyze", str(path)]) == 0
+    cset = json.loads(capsys.readouterr().out)["candidate_set"]
+    assert 0 < len(cset) <= 256
+    assert all(ap["descriptor"].startswith("proj[") for ap in cset)
+    assert cset[0]["descriptor"] == "proj[a,b,c,d,e,f]"
+
+
+def test_candidate_set_cap_exit_code(tmp_path, capsys):
+    """Six agents sharing six parameters: 7^6 unions, refused."""
+    names = ["a", "b", "c", "d", "e", "f"]
+    agents = {f"j{i}": names for i in range(6)}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(_dominance_document(agents, names)))
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "531441 meets" in err and "10000" in err
+    assert "117649 unions" in err and "10000" in err
 
 
 def test_frames_fixture(capsys):

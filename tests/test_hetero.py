@@ -298,7 +298,7 @@ def test_normality_random_structures():
             # the transform turns meets of agendas into joins
             c = coalitions[-1]
             for e1, e2 in itertools.combinations(h.lattice.elements, 2):
-                met = h.lattice.meet([e1, e2])
+                met = ft.meet_agendas(e1, e2)
                 lhs = ht.subst_transform(h, c, met)
                 rhs = h.lattice.d_join(
                     [

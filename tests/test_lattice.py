@@ -1,7 +1,10 @@
 """Issue-generated agenda lattices: joins, distributivity, coarsenings."""
 
+import collections
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from agenda_algebra import features as ft
@@ -18,6 +21,69 @@ from agenda_algebra.errors import (
 
 def binary_space(names):
     return ft.build_space([(n, ft.binary(n)) for n in names])
+
+
+# -- brute-force reference for the veto candidate set ---------------------
+
+
+def coarsenings_crs1(space, names):
+    """Agendas obtained by dropping one parameter from the given set."""
+    names = sorted(names)
+    if not names:
+        raise EmptyAgendaSet("cannot coarsen the empty parameter set")
+    out = []
+    for drop in names:
+        rest = [x for x in names if x != drop]
+        out.append(ft.projection_agenda(space, rest))
+    return out
+
+
+def product_candidate_set(space, agent_params):
+    """One meet in E(W) per choice of every agent's veto of every other."""
+    agents = sorted(agent_params)
+    slots = [
+        coarsenings_crs1(space, agent_params[j])
+        for i in agents
+        for j in agents
+        if i != j
+    ]
+    out = {}
+    for choice in itertools.product(*slots):
+        agenda = ft.meet_agendas(*choice)
+        out.setdefault(agenda.partition, agenda)
+    return sorted(
+        out.values(), key=lambda a: (-len(a.partition.blocks), a.label())
+    )
+
+
+# the most veto choices a drawn case may take: prod(p_j) ** (k - 1)
+PRODUCT_MEETS = 729
+
+
+@st.composite
+def veto_cases(draw):
+    """Chains of 1-3 values and 2-4 agents' parameter sets.
+
+    Parameter counts are drawn within what is left of PRODUCT_MEETS, so
+    the product reference stays small.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=5))
+    names = [f"x{i}" for i in range(len(sizes))]
+    space = ft.build_space([
+        (name, ft.chain(name, [str(v) for v in range(size)]))
+        for name, size in zip(names, sizes)
+    ])
+    agents = draw(st.integers(2, 4))
+    budget = round(PRODUCT_MEETS ** (1 / (agents - 1)))
+    params = {}
+    for agent in range(agents):
+        count = draw(st.integers(1, min(len(names), budget)))
+        budget //= count
+        params[f"j{agent}"] = draw(st.lists(
+            st.sampled_from(names), min_size=count, max_size=count,
+            unique=True,
+        ))
+    return space, params, min(sizes) >= 2
 
 
 def hiring_lattice():
@@ -256,17 +322,17 @@ def test_car_generator_count():
 
 def test_coarsenings():
     space = binary_space(["r", "p", "l"])
-    crs = lt.coarsenings_crs1(space, ["p", "r"])
+    crs = coarsenings_crs1(space, ["p", "r"])
     parts = {a.partition for a in crs}
     assert parts == {
         ft.projection_agenda(space, ["p"]).partition,
         ft.projection_agenda(space, ["r"]).partition,
     }
-    single = lt.coarsenings_crs1(space, ["r"])
+    single = coarsenings_crs1(space, ["r"])
     assert [a.partition for a in single] == [pt.Partition.single_block(8)]
-    assert len(lt.coarsenings_crs1(space, ["r", "p", "l"])) == 3
+    assert len(coarsenings_crs1(space, ["r", "p", "l"])) == 3
     with pytest.raises(EmptyAgendaSet):
-        lt.coarsenings_crs1(space, [])
+        coarsenings_crs1(space, [])
 
 
 def test_candidate_set_hiring():
@@ -290,12 +356,75 @@ def test_candidate_set_single_params():
 
 
 def test_candidate_set_cap():
-    space = binary_space(["a", "b", "c", "d"])
-    four = {f"j{i}": ["a", "b", "c"] for i in range(4)}
-    with pytest.raises(CapExceeded, match="531441 meets"):
-        lt.candidate_set_C(space, four)
-    three = {f"j{i}": ["a", "b", "c"] for i in range(3)}
-    assert lt.candidate_set_C(space, three)  # 3^6 meets, under the cap
+    """Four agents with three parameters each walk 4^4 = 256 unions."""
+    names = ["a", "b", "c", "d"]
+    space = binary_space(names)
+    four = {f"j{i}": names[:i] + names[i + 1:] for i in range(4)}
+    cset = lt.candidate_set_C(space, four)
+    assert len(cset) <= 256
+    # each agent keeps two of its three parameters, so at most one of the
+    # four is missing from a union
+    assert [a.label() for a in cset] == [
+        "proj[a,b,c,d]", "proj[a,b,c]", "proj[a,b,d]", "proj[a,c,d]",
+        "proj[b,c,d]",
+    ]
+    same = {f"j{i}": ["a", "b", "c"] for i in range(4)}
+    assert len(lt.candidate_set_C(space, same)) == 4
+    # four agents sharing ten parameters walk 11^4 unions
+    space = binary_space([f"x{i}" for i in range(10)])
+    shared = {f"j{i}": list(space.names) for i in range(4)}
+    with pytest.raises(CapExceeded, match=r"\b14641 unions\b.*\b10000\b"):
+        lt.candidate_set_C(space, shared)
+
+
+def test_candidate_set_needs_two_agents_and_parameters():
+    space = binary_space(["x", "y"])
+    with pytest.raises(EmptyAgendaSet):
+        lt.candidate_set_C(space, {"a": ["x"]})
+    with pytest.raises(EmptyAgendaSet):
+        lt.candidate_set_C(space, {"a": ["x"], "b": [], "c": ["y"]})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(veto_cases())
+def test_candidate_set_matches_product_of_vetoes(case):
+    """Same partitions as the product; same labels when no scale is flat.
+
+    A one-value parameter lets two unions share a partition, and then
+    which union's label is kept depends on the walk order.
+    """
+    space, params, no_flat_scale = case
+    closed = lt.candidate_set_C(space, params)
+    product = product_candidate_set(space, params)
+    assert [a.partition for a in closed] == [a.partition for a in product]
+    if no_flat_scale:
+        assert [a.label() for a in closed] == [a.label() for a in product]
+
+
+def test_candidate_set_takes_no_partition_meet(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (pt, "meet"), (pt, "meet_all"), (ft, "meet_agendas"),
+    ):
+        counting(module, name)
+    names = ["a", "b", "c", "d"]
+    space = binary_space(names)
+    params = {f"j{i}": names[:i] + names[i + 1:] for i in range(3)}
+    lt.candidate_set_C(space, params)
+    assert calls == collections.Counter()
+    # the counters do see the meets the product reference takes
+    product_candidate_set(space, params)
+    assert calls["meet_agendas"] == 3 ** 6 and calls["meet_all"] == 3 ** 6
 
 
 def test_hasse_export():

@@ -306,7 +306,7 @@ def test_shared_partition_labels():
     assert lattice.member_form(x).label() == "param:x & sum:x<=0"
     assert lattice.d_join([x, bottom]).label() == "param:x & sum:x<=0"
     assert lattice.d_join([x, y]) is lattice.top
-    assert lattice.meet([x, y]).label() == "param:x & param:y"
+    assert ft.meet_agendas(x, y).label() == "param:x & param:y"
     assert lattice.bottom.label() == "param:x & param:y & sum:x<=0"
     assert [(a.label(), b.label()) for a, b in lattice.covers()] == [
         ("param:x", "top"),

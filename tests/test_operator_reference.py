@@ -56,6 +56,12 @@ def ref_meet_of(h, ids):
     )
 
 
+def ref_lattice_meet(h, agendas):
+    """Meet in E(W) of lattice members, the top element for none."""
+    agendas = list(agendas)
+    return ft.meet_agendas(*agendas) if agendas else h.lattice.top
+
+
 def ref_subst_atom(h, agent, issue_id):
     """Meet of the issues the agent would put in place of one issue."""
     return ref_meet_of(h, h.substitution.replacements(agent, issue_id))
@@ -91,7 +97,7 @@ def ref_common_agenda(h, coalition):
 
 def ref_distributed_agenda(h, coalition):
     parts = [h.agent_agenda(name) for name in coalition.members()]
-    return h.lattice.meet(parts)
+    return ref_lattice_meet(h, parts)
 
 
 def ref_blacksquare(h, agenda):
@@ -145,7 +151,7 @@ def ref_residual_second(h, coalition, agenda):
         for e in h.lattice.elements
         if h.lattice.leq(ref_subst_transform(h, coalition, e), target)
     ]
-    return h.lattice.meet(winners)
+    return ref_lattice_meet(h, winners)
 
 
 def ref_br_transform(h, coalition, agenda):
@@ -154,7 +160,7 @@ def ref_br_transform(h, coalition, agenda):
     for name in coalition.members():
         for issue in h.lattice.issues_above(member):
             pieces.append(ref_subst_atom(h, name, issue.id))
-    return h.lattice.meet(pieces)
+    return ref_lattice_meet(h, pieces)
 
 
 def ref_brB(h, agenda1, agenda2):
@@ -177,7 +183,7 @@ def ref_vartriangle(h, coalition, agenda):
         for e in h.lattice.elements
         if h.lattice.leq(source, ref_br_transform(h, coalition, e))
     ]
-    return h.lattice.meet(winners)
+    return ref_lattice_meet(h, winners)
 
 
 # -- generated inputs ---------------------------------------------------------
@@ -326,7 +332,7 @@ def check_operators(h, agendas, scans=True):
             # which the meet of E(W) keeps and the core does not
             if all(isinstance(e.descriptor, ft.MeetOfIssues)
                    for e in (e1, e2)):
-                same_agenda(alg.ia_meet(e1, e2), h.lattice.meet([e1, e2]))
+                same_agenda(alg.ia_meet(e1, e2), ft.meet_agendas(e1, e2))
 
 
 def check_box(h):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agenda_algebra import features as ft
+from agenda_algebra import lattice as lt
 from agenda_algebra import partitions as pt
 from agenda_algebra.cli import main
 from agenda_algebra.errors import CapExceeded, ParseError, ValidationError
@@ -87,6 +88,50 @@ def test_malformed_threshold_ids_are_listed(bad):
         for where in ("relevance of alan", "substitution from",
                       "named agenda mine")
     ]
+
+
+def test_sum_rule_named_agenda_of_param_issues_is_listed(tmp_path, capsys):
+    """Param issues alone meet to a projection, which the sum rule cannot
+    decide: a listed problem (exit 1), not an internal error (exit 3)."""
+    doc = json.loads(scenario_text("car"))
+    doc["options"]["extra_agendas"]["proj"] = ["param:s", "param:f"]
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    assert err.value.problems == [
+        "named agenda proj: only param: issues, and projection agendas"
+        " need the total-dominance rule"
+    ]
+    path = tmp_path / "proj.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert "named agenda proj" in capsys.readouterr().err
+    # beside a threshold issue the meet is decided on the dominance quotient
+    doc["options"]["extra_agendas"]["proj"] = ["param:s", "sum:f<=0"]
+    report = analyze(load_scenario(json.dumps(doc)))
+    assert report.named["proj"].agenda.label() == "meet"
+
+
+@pytest.mark.parametrize(
+    "key, cap",
+    [("profile_cap", ft.PROFILE_CAP), ("materialize_cap", lt.MATERIALIZE_CAP)],
+)
+def test_options_cannot_raise_a_built_in_cap(key, cap, tmp_path, capsys):
+    """One above the built-in cap is refused before the space is built;
+    the cap itself and anything lower still load."""
+    doc = json.loads(scenario_text("hiring_s1"))
+    doc["options"] = {key: cap + 1}
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    assert err.value.problems == [
+        f"options: {key} {cap + 1} is above the built-in cap {cap}"
+    ]
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert f"{key} {cap + 1}" in capsys.readouterr().err
+    for value in (cap, 8):
+        doc["options"] = {key: value}
+        assert getattr(load_scenario(json.dumps(doc)).options, key) == value
 
 
 HUGE_NUMBERS = ["1e3000000", "1e-1001", "7" * 2000, "1" * 10_000_000]
