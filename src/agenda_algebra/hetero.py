@@ -162,7 +162,9 @@ class HeteroAlgebra:
     leaves as the lattice element labelled by its generators, memoized per
     algebra.  Coalitions cross as their masks.  Enumeration-backed pieces
     (element lists, the two second-coordinate residuals, the box) need the
-    agenda lattice materialized.
+    agenda lattice materialized.  Validity checks skip the wrappers: they
+    run on ``core`` and enter agendas and coalitions through ``core_ia``
+    and ``core_c``.
     """
 
     def __init__(self, structure):
@@ -193,6 +195,14 @@ class HeteroAlgebra:
 
     def _coalition(self, mask):
         return Coalition(self.h.agents, mask)
+
+    def core_ia(self, agenda):
+        """The mask an agenda enters the core algebra as."""
+        return self._value(agenda)
+
+    def core_c(self, coalition):
+        """The mask a coalition enters the core algebra as."""
+        return coalition.mask
 
     def all_c(self):
         return [self._coalition(mask) for mask in self.core.all_c()]

@@ -457,6 +457,8 @@ def candidate_set_C(space, agent_params):
         names = frozenset(agent_params[agent])
         if not names:
             raise EmptyAgendaSet("cannot coarsen the empty parameter set")
+        # a one-parameter agent is only ever projected onto the empty set
+        space._param_positions(sorted(names))
         kept = [names - {drop} for drop in sorted(names)]
         if len(agents) >= 3 and len(names) >= 2:
             kept.append(names)

@@ -153,26 +153,72 @@ def term_family(depth=2, ia_atom_count=1, c_atom_count=1):
     return ia_terms, c_terms
 
 
-def _value_vectors(frame, ia_terms, c_terms, ia_names, c_names):
+def _value_vectors(frames, ia_terms, c_terms):
     """Evaluate every term under every valuation, packed into one int.
 
-    Values across the valuation grid are concatenated bitwise, so the
-    pointwise sequent test collapses to a single bitmask comparison.
+    Returns one {term: packed values} dict per frame.  The valuations
+    range over the atoms the terms use, agenda atoms outermost; values
+    across that grid are concatenated bitwise, so the pointwise sequent
+    test collapses to a single bitmask comparison.
+    One plan of the terms serves every frame.  A node that no atom
+    reaches is evaluated once and repeated across the grid by one
+    multiplication, and an agenda-level node likewise across the
+    coalition valuations of each agenda valuation.
+    """
+    terms = tuple(itertools.chain(ia_terms, c_terms))
+    plan = tm._plan(terms)
+    return [dict(zip(terms, _frame_vectors(plan, frame))) for frame in frames]
+
+
+def _repunit(width, count):
+    """``count`` ones spaced ``width`` bits apart: one value per slot."""
+    if width == 0:
+        return count
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+def _frame_vectors(plan, frame):
+    """The packed value vectors of the plan's roots on one frame.
+
+    A node at a given level is evaluated once per valuation of the loops
+    outside it, and its value is repeated over the grid positions that
+    valuation covers: all of them for an atom-free node, one block of
+    coalition valuations for an agenda-level node, one position for the
+    rest.
     """
     algebra = FrameAlgebra(frame)
-    nd, nc = algebra.nd, algebra.nc
-    packed = {t: 0 for t in itertools.chain(ia_terms, c_terms)}
-    slot = 0
-    for v in tm._valuations(
-        ia_names, c_names, algebra.all_ia(), algebra.all_c()
-    ):
-        cache = {}
-        for t in ia_terms:
-            packed[t] |= tm.eval_term(algebra, v, t, cache) << (slot * nd)
-        for t in c_terms:
-            packed[t] |= tm.eval_term(algebra, v, t, cache) << (slot * nc)
-        slot += 1
-    return packed
+    free, ia_steps, c_steps = plan.bind(algebra)
+    ia_slots = [slot for _, slot in plan.ia_atoms]
+    c_slots = [slot for _, slot in plan.c_atoms]
+    ia_domain, c_domain = algebra.all_ia(), algebra.all_c()
+    inner = len(c_domain) ** len(c_slots)
+    spans = (len(ia_domain) ** len(ia_slots) * inner, inner, 1)
+    width = {tm.IA: algebra.nd, tm.C: algebra.nc}
+    # per level: (slot, value width, repeat over the positions covered)
+    levels = ([], [], [])
+    for slot, (level, sort) in enumerate(zip(plan.levels, plan.sorts)):
+        w = width[sort]
+        levels[level].append((slot, w, _repunit(w, spans[level])))
+    vals = [None] * len(plan.methods)
+    packed = [0] * len(plan.methods)
+    tm._run(free, vals)
+    for slot, _, rep in levels[tm._FREE]:
+        packed[slot] = vals[slot] * rep
+    position = 0
+    for ia_vals in itertools.product(ia_domain, repeat=len(ia_slots)):
+        for slot, value in zip(ia_slots, ia_vals):
+            vals[slot] = value
+        tm._run(ia_steps, vals)
+        for slot, w, rep in levels[tm._IA_LEVEL]:
+            packed[slot] |= vals[slot] * rep << (position * w)
+        for c_vals in itertools.product(c_domain, repeat=len(c_slots)):
+            for slot, value in zip(c_slots, c_vals):
+                vals[slot] = value
+            tm._run(c_steps, vals)
+            for slot, w, _ in levels[tm._C_LEVEL]:
+                packed[slot] |= vals[slot] << (position * w)
+            position += 1
+    return [packed[root] for root in plan.roots]
 
 
 def _packed_valid_ia(x, y):
@@ -234,12 +280,7 @@ def bounded_modal_equivalence(f1, f2, depth=2, ia_atoms=1, c_atoms=1,
         raise CapExceeded(
             f"{len(ia_terms) + len(c_terms)} terms exceed cap {term_cap}"
         )
-    ia_names = [f"q{k + 1}" for k in range(ia_atoms)]
-    c_names = [f"t{k + 1}" for k in range(c_atoms)]
-    vectors = [
-        _value_vectors(f, ia_terms, c_terms, ia_names, c_names)
-        for f in (f1, f2)
-    ]
+    vectors = _value_vectors((f1, f2), ia_terms, c_terms)
     first_bad = _first_flagged(
         vectors, ia_terms, c_terms, lambda v: v[0] != v[1]
     )
@@ -257,10 +298,7 @@ def validity_transfer_to_union(f1, f2, union, depth=2):
     Returns (ok, first violating sequent or None).
     """
     ia_terms, c_terms = term_family(depth, 1, 1)
-    vectors = [
-        _value_vectors(f, ia_terms, c_terms, ["q1"], ["t1"])
-        for f in (f1, f2, union)
-    ]
+    vectors = _value_vectors((f1, f2, union), ia_terms, c_terms)
     bad = _first_flagged(
         vectors, ia_terms, c_terms, lambda v: v[0] and v[1] and not v[2]
     )

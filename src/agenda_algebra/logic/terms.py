@@ -5,10 +5,21 @@ functions canonicalizes commutative connectives so that structurally
 equal terms compare equal.  Evaluation is compositional over any algebra
 object implementing the small operator protocol used below (the frame
 complex algebras and the concrete heterogeneous structures both do).
+
+``eval_term`` and ``holds`` evaluate one term or sequent recursively and
+are the reference semantics.  Validity checks run a compiled plan
+instead: ``_plan`` lists every distinct subterm once, in postorder, with
+the algebra method it calls and its atom level (no atoms, agenda atoms
+only, or some coalition atom).  A check binds the plan to the algebra
+once and hoists each node to the outermost valuation loop it depends
+on: atom-free nodes run once, agenda-level nodes once per agenda
+valuation, and only nodes that reach a coalition atom run in the inner
+loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -215,7 +226,13 @@ class Sequent:
             raise SortError("sequent sides have different sorts")
         ia1, c1 = self.lhs.atoms()
         ia2, c2 = self.rhs.atoms()
-        object.__setattr__(self, "_atoms", (ia1 | ia2, c1 | c2))
+        ia, c = ia1 | ia2, c1 | c2
+        shared = sorted(ia & c)
+        if shared:
+            raise SortError(
+                f"atom {shared[0]!r} is used as both an IA-atom and a C-atom"
+            )
+        object.__setattr__(self, "_atoms", (ia, c))
 
     @property
     def sort(self):
@@ -290,19 +307,138 @@ class ValidityResult:
     counterexample: dict | None = None
 
 
-def _valuations(ia_names, c_names, ia_domain, c_domain):
-    ia_names, c_names = sorted(ia_names), sorted(c_names)
-    for ia_vals in itertools.product(ia_domain, repeat=len(ia_names)):
-        for c_vals in itertools.product(c_domain, repeat=len(c_names)):
-            v = dict(zip(ia_names, ia_vals))
-            v.update(zip(c_names, c_vals))
-            yield v
+# atom levels of a plan node: the valuation loop it must run in
+_FREE, _IA_LEVEL, _C_LEVEL = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Postorder evaluation plan of a tuple of terms.
+
+    Slot k is the k-th distinct subterm, children first.  Per slot,
+    ``methods`` holds the algebra method name (None for an atom),
+    ``firsts`` and ``seconds`` the argument slots (None where the method
+    takes fewer), and ``levels`` and ``sorts`` its atom level and sort.
+    ``roots`` gives the slot of each planned term, and ``ia_atoms`` and
+    ``c_atoms`` the (name, slot) pairs of the atoms, sorted by name.
+    """
+
+    methods: tuple
+    firsts: tuple
+    seconds: tuple
+    levels: tuple
+    sorts: tuple
+    roots: tuple
+    ia_atoms: tuple
+    c_atoms: tuple
+
+    def bind(self, algebra):
+        """Per level, the steps (slot, bound method, argument slots)."""
+        steps = ([], [], [])
+        for slot, method in enumerate(self.methods):
+            if method is not None:
+                steps[self.levels[slot]].append((
+                    slot, getattr(algebra, method),
+                    self.firsts[slot], self.seconds[slot],
+                ))
+        return steps
+
+
+def _plan(terms):
+    """Compile terms into a ``_Plan``; shared subterms get one slot.
+
+    Atoms are looked up by sort and name, apart from the other terms: an
+    atom renders as its bare name, so it can equal a constant as a Term.
+    """
+    slots, atoms = {}, {IA: {}, C: {}}
+    methods, firsts, seconds, levels, sorts = [], [], [], [], []
+
+    def slot_of(t):
+        if t.op in ("atomIA", "atomC"):
+            return atoms[t.sort].get(t.name)
+        return slots.get(t)
+
+    stack = list(reversed(terms))
+    while stack:
+        t = stack[-1]
+        if slot_of(t) is not None:
+            stack.pop()
+            continue
+        pending = [a for a in t.args if slot_of(a) is None]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        slot, sort = len(methods), t.sort
+        if t.op in ("atomIA", "atomC"):
+            atoms[sort][t.name] = slot
+            methods.append(None)
+            levels.append(_IA_LEVEL if sort == IA else _C_LEVEL)
+        else:
+            slots[t] = slot
+            methods.append(_CONSTANTS.get(t.op) or _METHODS[t.op])
+            levels.append(max(
+                (levels[slot_of(a)] for a in t.args), default=_FREE
+            ))
+        first, second = (t.args + (None, None))[:2]
+        firsts.append(None if first is None else slot_of(first))
+        seconds.append(None if second is None else slot_of(second))
+        sorts.append(sort)
+    return _Plan(
+        tuple(methods), tuple(firsts), tuple(seconds), tuple(levels),
+        tuple(sorts), tuple(map(slot_of, terms)),
+        tuple(sorted(atoms[IA].items())), tuple(sorted(atoms[C].items())),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _sequent_plan(sequent):
+    return _plan((sequent.lhs, sequent.rhs))
+
+
+def _run(steps, vals):
+    for slot, fn, a, b in steps:
+        if b is not None:
+            vals[slot] = fn(vals[a], vals[b])
+        elif a is not None:
+            vals[slot] = fn(vals[a])
+        else:
+            vals[slot] = fn()
+
+
+def _core(algebra, ia_objects, c_objects):
+    """The algebra a check runs on, and each domain as (object, value).
+
+    An algebra with a ``core`` (a concrete structure) is checked on that
+    mask algebra; its agendas and coalitions enter as the core values
+    ``core_ia`` and ``core_c`` give them.
+    """
+    core = getattr(algebra, "core", None)
+    if core is None:
+        return (
+            algebra,
+            [(x, x) for x in ia_objects],
+            [(x, x) for x in c_objects],
+        )
+    return (
+        core,
+        [(x, algebra.core_ia(x)) for x in ia_objects],
+        [(x, algebra.core_c(x)) for x in c_objects],
+    )
 
 
 def _check(algebra, sequent, atom_cap, ia_domain, c_domain):
     """Validity with atoms ranging over two domains, given as callables.
 
-    The domains are computed only once the sequent is within the atom cap.
+    The domains are computed only once the sequent is within the atom
+    cap.  The sequent's cached plan is bound to the algebra, or to its
+    core, once per check; atom-free nodes run once, agenda-level nodes
+    once per agenda valuation, and the rest per full valuation.
+    Valuations run agenda atoms outermost, each sort in
+    ``itertools.product`` order over its sorted atom names, so the
+    counterexample is the first failing valuation, mapped back to the
+    domain objects by position.
+    ``holds`` gives the same verdicts one valuation at a time.
     """
     ia_names, c_names = sequent.atoms()
     if len(ia_names) > atom_cap or len(c_names) > atom_cap:
@@ -310,9 +446,31 @@ def _check(algebra, sequent, atom_cap, ia_domain, c_domain):
             f"sequent uses {len(ia_names)} IA-atoms and {len(c_names)}"
             f" C-atoms, more than {atom_cap} atoms per sort"
         )
-    for v in _valuations(ia_names, c_names, ia_domain(), c_domain()):
-        if not holds(algebra, v, sequent):
-            return ValidityResult(False, dict(v))
+    core, ia_pairs, c_pairs = _core(algebra, ia_domain(), c_domain())
+    plan = _sequent_plan(sequent)
+    free, ia_steps, c_steps = plan.bind(core)
+    leq = core.ia_leq if sequent.sort == IA else core.c_leq
+    lhs, rhs = plan.roots
+    ia_slots = [slot for _, slot in plan.ia_atoms]
+    c_slots = [slot for _, slot in plan.c_atoms]
+    vals = [None] * len(plan.methods)
+    _run(free, vals)
+    for ia_choice in itertools.product(ia_pairs, repeat=len(ia_slots)):
+        for slot, (_, value) in zip(ia_slots, ia_choice):
+            vals[slot] = value
+        _run(ia_steps, vals)
+        for c_choice in itertools.product(c_pairs, repeat=len(c_slots)):
+            for slot, (_, value) in zip(c_slots, c_choice):
+                vals[slot] = value
+            _run(c_steps, vals)
+            if not leq(vals[lhs], vals[rhs]):
+                counter = {
+                    name: obj
+                    for (name, _), (obj, _) in zip(
+                        plan.ia_atoms + plan.c_atoms, ia_choice + c_choice
+                    )
+                }
+                return ValidityResult(False, counter)
     return ValidityResult(True)
 
 

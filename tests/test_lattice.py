@@ -16,6 +16,7 @@ from agenda_algebra.errors import (
     EmptyAgendaSet,
     NotInLattice,
     NotMaterialized,
+    UnknownParameter,
 )
 
 
@@ -383,6 +384,13 @@ def test_candidate_set_needs_two_agents_and_parameters():
         lt.candidate_set_C(space, {"a": ["x"]})
     with pytest.raises(EmptyAgendaSet):
         lt.candidate_set_C(space, {"a": ["x"], "b": [], "c": ["y"]})
+
+
+def test_candidate_set_refuses_unknown_parameters():
+    space = binary_space(["x", "y"])
+    for names in (["zzz"], ["zzz", "y"]):
+        with pytest.raises(UnknownParameter, match="zzz"):
+            lt.candidate_set_C(space, {"a": names, "b": ["x"]})
 
 
 @settings(max_examples=200, deadline=None, database=None)
