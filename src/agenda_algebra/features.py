@@ -399,7 +399,7 @@ def projection_agenda(space, names):
 
 def sum_agenda(space, names):
     """Profiles with equal sum-score over the set fall in one class."""
-    positions = _sum_ready_positions(space, names)
+    positions = space._sum_positions(names, ())
     sums = space._sums(positions).tolist()
     part = pt.Partition._from_labels(space.n, sums)
     return Agenda(part, SumDescriptor(frozenset(names)))
@@ -415,7 +415,7 @@ def achievable_sums(space, names):
 def threshold_issue(space, names, k):
     """The yes/no question: is the sum-score over the set at most k?"""
     k = k if isinstance(k, Fraction) else Fraction(k)
-    positions = _sum_ready_positions(space, names)
+    positions = space._sum_positions(names, ())
     bound = space._threshold_bound(k)
     sums = space._sums(positions).tolist()
     low = [pid for pid, s in enumerate(sums) if s <= bound]
@@ -425,16 +425,6 @@ def threshold_issue(space, names, k):
         )
     part = pt.Partition.bipartition(space.n, low)
     return Agenda(part, ThresholdDescriptor(frozenset(names), k))
-
-
-def _sum_ready_positions(space, names):
-    """Positions of the names, refusing any scale that is not sum-ready."""
-    positions = space._param_positions(names)
-    for pos in positions:
-        name, scale = space.params[pos]
-        if pos not in space._scores and not scale.is_sum_ready():
-            raise NonLinearScale(f"parameter {name} is not sum-scorable")
-    return positions
 
 
 def threshold_issues_for(space, names):

@@ -13,10 +13,12 @@ elements.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .coalitions import Coalition, InfluenceRelation
 from .errors import NotBoolean, NotInLattice, UnknownAgent
 from .features import MeetOfIssues
-from .logic.frames import FrameAlgebra, RelationalStructure
+from .logic.frames import FrameAlgebra, RelationalStructure, memoized
 
 
 class RelevanceRelation:
@@ -171,7 +173,7 @@ class HeteroAlgebra:
         self.h = structure
         self.lattice = structure.lattice
         self.core = FrameAlgebra(structure.frame, structure.lattice)
-        self._agendas = {}
+        self._cache = defaultdict(dict)
 
     def _value(self, agenda):
         lattice = self.lattice
@@ -188,10 +190,9 @@ class HeteroAlgebra:
                 return named
         return mask
 
+    @memoized
     def _agenda(self, mask):
-        if mask not in self._agendas:
-            self._agendas[mask] = self.lattice._element(mask)
-        return self._agendas[mask]
+        return self.lattice._element(mask)
 
     def _coalition(self, mask):
         return Coalition(self.h.agents, mask)

@@ -8,6 +8,8 @@ Both sorts are packed into int bitmasks.
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from ..errors import SortError
@@ -112,8 +114,26 @@ def _identity(mask):
     return mask
 
 
+def memoized(method):
+    """Memoize an operator in ``self._cache[name]``, keyed on its arguments.
+
+    A None result is not kept; every memoized method returns a value.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        cache = self._cache[name]
+        value = cache.get(args)
+        if value is None:
+            value = cache[args] = method(self, *args)
+        return value
+
+    return wrapper
+
+
 class FrameAlgebra:
-    """Complex algebra of a frame, with every operator cached.
+    """Complex algebra of a frame, its heterogeneous operators memoized.
 
     Coalition elements are bitmasks over C (order: subset).  Agenda
     elements are bitmasks over D read as supported-issue sets (order:
@@ -128,6 +148,10 @@ class FrameAlgebra:
     over the lattice elements, and an (agent, issue) pair with no
     replacement adds nothing to ``pdra`` (its closed substitution entry
     is the bottom).  For a frame the closure is the identity.
+
+    Each (operator, arguments) pair is computed once per instance and
+    kept in ``self._cache[operator]``; unlike ``functools.cache`` on a
+    method, the memo keeps no algebra alive.
     """
 
     def __init__(self, frame, lattice=None):
@@ -160,7 +184,7 @@ class FrameAlgebra:
                 [closure(s) if s else self.d_full for s in row]
                 for row in self.s_mask
             ]
-        self._cache = {}
+        self._cache = defaultdict(dict)
 
     # -- element enumeration ------------------------------------------
 
@@ -241,113 +265,88 @@ class FrameAlgebra:
 
     # -- heterogeneous operators ----------------------------------------
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
+    @memoized
     def diamond(self, c):
-        def go():
-            out = self.d_full
-            for j in self._members(c):
-                out &= self.r_closed[j]
-            return out
+        out = self.d_full
+        for j in self._members(c):
+            out &= self.r_closed[j]
+        return out
 
-        return self._cached(("dia", c), go)
-
+    @memoized
     def rhd(self, c):
-        def go():
-            out = 0
-            for j in self._members(c):
-                out |= self.r_mask[j]
-            return out
+        out = 0
+        for j in self._members(c):
+            out |= self.r_mask[j]
+        return out
 
-        return self._cached(("rhd", c), go)
-
+    @memoized
     def blacksquare(self, e):
-        def go():
-            out = 0
-            for j in range(self.nc):
-                if e & self.r_closed[j] == e:
-                    out |= 1 << j
-            return out
+        out = 0
+        for j in range(self.nc):
+            if e & self.r_closed[j] == e:
+                out |= 1 << j
+        return out
 
-        return self._cached(("bsq", e), go)
-
+    @memoized
     def blacktriangleright(self, e):
-        def go():
-            closed = self._closure(e)
-            out = 0
-            for j in range(self.nc):
-                if self.r_mask[j] & closed == self.r_mask[j]:
-                    out |= 1 << j
-            return out
+        closed = self._closure(e)
+        out = 0
+        for j in range(self.nc):
+            if self.r_mask[j] & closed == self.r_mask[j]:
+                out |= 1 << j
+        return out
 
-        return self._cached(("btr", e), go)
-
+    @memoized
     def pdra(self, c, e):
-        def go():
-            out = self.d_full
-            issues = self._issues(self._closure(e))
-            for j in self._members(c):
-                for m in issues:
-                    out &= self.s_closed[j][m]
-            return out
+        out = self.d_full
+        issues = self._issues(self._closure(e))
+        for j in self._members(c):
+            for m in issues:
+                out &= self.s_closed[j][m]
+        return out
 
-        return self._cached(("pdra", c, e), go)
-
+    @memoized
     def star(self, e1, e2):
-        def go():
-            out = 0
-            for j in range(self.nc):
-                if self.pdra(1 << j, e1) & e2 == e2:
-                    out |= 1 << j
-            return out
+        out = 0
+        for j in range(self.nc):
+            if self.pdra(1 << j, e1) & e2 == e2:
+                out |= 1 << j
+        return out
 
-        return self._cached(("star", e1, e2), go)
-
+    @memoized
     def eqless(self, c, e):
-        def go():
-            out = 0
-            for cand in self.all_ia():
-                if self.pdra(c, cand) & e == e:
-                    out |= cand
-            return out
+        out = 0
+        for cand in self.all_ia():
+            if self.pdra(c, cand) & e == e:
+                out |= cand
+        return out
 
-        return self._cached(("eqless", c, e), go)
-
+    @memoized
     def br(self, c, e):
-        def go():
-            out = 0
-            issues = self._issues(self._closure(e))
-            for j in self._members(c):
-                for m in issues:
-                    out |= self.s_mask[j][m]
-            return out
+        out = 0
+        issues = self._issues(self._closure(e))
+        for j in self._members(c):
+            for m in issues:
+                out |= self.s_mask[j][m]
+        return out
 
-        return self._cached(("br", c, e), go)
-
+    @memoized
     def brB(self, e1, e2):
-        def go():
-            closed = self._closure(e1)
-            out = 0
-            for j in range(self.nc):
-                if closed & self.br(1 << j, e2) == self.br(1 << j, e2):
-                    out |= 1 << j
-            return out
+        closed = self._closure(e1)
+        out = 0
+        for j in range(self.nc):
+            if closed & self.br(1 << j, e2) == self.br(1 << j, e2):
+                out |= 1 << j
+        return out
 
-        return self._cached(("brB", e1, e2), go)
-
+    @memoized
     def triangle(self, c, e):
-        def go():
-            closed = self._closure(e)
-            out = 0
-            for cand in self.all_ia():
-                if closed & self.br(c, cand) == self.br(c, cand):
-                    out |= cand
-            return out
-
-        return self._cached(("tri", c, e), go)
+        closed = self._closure(e)
+        out = 0
+        for cand in self.all_ia():
+            if closed & self.br(c, cand) == self.br(c, cand):
+                out |= cand
+        return out
 
     # -- readable rendering ---------------------------------------------
 

@@ -59,8 +59,14 @@ SIGNATURES = {
 COMMUTATIVE = {"meet", "join", "and", "or"}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Term:
+    """Equal to a term built alike: same op, atom name and arguments.
+
+    ``_key`` renders it for ``repr`` and orders commutative arguments; an
+    atom renders as its bare name, so it may share a key, not an identity.
+    """
+
     op: str
     args: tuple = ()
     name: str = ""
@@ -78,10 +84,9 @@ class Term:
                     f"{self.op} expected a {want}-term, got {arg.sort}"
                 )
         object.__setattr__(self, "_key", self._render())
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __eq__(self, other):
-        return isinstance(other, Term) and self._key == other._key
+        object.__setattr__(
+            self, "_hash", hash((self.op, self.name, self.args))
+        )
 
     def __hash__(self):
         return self._hash
@@ -345,49 +350,43 @@ class _Plan:
 
 
 def _plan(terms):
-    """Compile terms into a ``_Plan``; shared subterms get one slot.
-
-    Atoms are looked up by sort and name, apart from the other terms: an
-    atom renders as its bare name, so it can equal a constant as a Term.
-    """
-    slots, atoms = {}, {IA: {}, C: {}}
+    """Compile terms into a ``_Plan``; shared subterms get one slot."""
+    slots = {}
     methods, firsts, seconds, levels, sorts = [], [], [], [], []
-
-    def slot_of(t):
-        if t.op in ("atomIA", "atomC"):
-            return atoms[t.sort].get(t.name)
-        return slots.get(t)
-
     stack = list(reversed(terms))
     while stack:
         t = stack[-1]
-        if slot_of(t) is not None:
+        if t in slots:
             stack.pop()
             continue
-        pending = [a for a in t.args if slot_of(a) is None]
+        pending = [a for a in t.args if a not in slots]
         if pending:
             stack.extend(reversed(pending))
             continue
         stack.pop()
-        slot, sort = len(methods), t.sort
+        slots[t] = len(methods)
         if t.op in ("atomIA", "atomC"):
-            atoms[sort][t.name] = slot
             methods.append(None)
-            levels.append(_IA_LEVEL if sort == IA else _C_LEVEL)
+            levels.append(_IA_LEVEL if t.sort == IA else _C_LEVEL)
         else:
-            slots[t] = slot
             methods.append(_CONSTANTS.get(t.op) or _METHODS[t.op])
             levels.append(max(
-                (levels[slot_of(a)] for a in t.args), default=_FREE
+                (levels[slots[a]] for a in t.args), default=_FREE
             ))
         first, second = (t.args + (None, None))[:2]
-        firsts.append(None if first is None else slot_of(first))
-        seconds.append(None if second is None else slot_of(second))
-        sorts.append(sort)
+        firsts.append(None if first is None else slots[first])
+        seconds.append(None if second is None else slots[second])
+        sorts.append(t.sort)
+
+    def atoms(op):
+        return tuple(sorted(
+            (t.name, k) for t, k in slots.items() if t.op == op
+        ))
+
     return _Plan(
         tuple(methods), tuple(firsts), tuple(seconds), tuple(levels),
-        tuple(sorts), tuple(map(slot_of, terms)),
-        tuple(sorted(atoms[IA].items())), tuple(sorted(atoms[C].items())),
+        tuple(sorts), tuple(slots[t] for t in terms),
+        atoms("atomIA"), atoms("atomC"),
     )
 
 

@@ -6,7 +6,7 @@ import itertools
 
 from . import partitions as pt
 from .errors import CapExceeded
-from .lattice import build_lattice, projection_issue_set  # noqa: F401
+from .lattice import build_lattice
 
 HASSE_NODE_CAP = 512
 

@@ -1,5 +1,6 @@
 """Condition/axiom correspondence pairs and bounded modal equivalence."""
 
+import hashlib
 import random
 
 from agenda_algebra.logic import conditions as cn
@@ -141,3 +142,17 @@ def test_term_family_counts():
     # C: 3 base + 6 ands + 6 ors + 5x3 unary + 3 blacksquares + 2x9 binary
     ia1, c1 = co.term_family(depth=1)
     assert len(ia1) == 57 and len(c1) == 51
+    # digests of the depth-2 family's reprs, in order, pin every term
+    ia2, c2 = co.term_family(depth=2)
+    assert len(ia2) == 15039 and len(c2) == 9465
+
+    def digest(family):
+        text = "\n".join(map(repr, family)).encode()
+        return hashlib.sha256(text).hexdigest()
+
+    assert digest(ia2) == (
+        "5074cdd278fb37be4011e57b332498a3ef6c3f1d6978e357183c7062f095ae34"
+    )
+    assert digest(c2) == (
+        "cfe152642c75e30b9efb774775fe1a7eefd1de77004e9d784c87c74d8c22d05e"
+    )

@@ -129,6 +129,17 @@ def test_sum_agenda_rejects_nonlinear():
     ft.sum_agenda(space, ["p", "l"])  # chains with parseable labels are fine
 
 
+def test_sum_rule_rejects_a_numeric_entry_that_is_no_rational():
+    odd = ft.chain("x", ["a", "b"], numeric={"a": "zz", "b": 1})
+    space = ft.build_space([("x", odd), ("y", ft.chain("y", ["0", "1"]))])
+    for build in (
+        lambda: ft.sum_agenda(space, ["x", "y"]),
+        lambda: ft.threshold_issue(space, ["x"], 0),
+    ):
+        with pytest.raises(NonLinearScale, match="x is not sum-scorable"):
+            build()
+
+
 def test_threshold_issue():
     space = car_space()
     issue = ft.threshold_issue(space, ["f"], 0)

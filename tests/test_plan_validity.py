@@ -8,9 +8,11 @@ the straightforward loops: every term, for every valuation, through
 equivalence reports must match them exactly.
 """
 
+import collections
 import functools
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from agenda_algebra.logic.frames import (
     FrameAlgebra,
     RelationalStructure,
     disjoint_union,
+    memoized,
 )
 from agenda_algebra.scenarios import BUNDLED, scenario_text
 
@@ -287,6 +290,70 @@ def test_nodes_run_once_per_valuation_of_their_atoms():
     # the two meets reaching pdra(t, q) run once per full valuation
     assert algebra.calls["ia_meet"] == 2 * ia_count + 1 * ia_count * c_count
     assert algebra.calls["pdra"] == ia_count * c_count
+
+
+# -- the operator memo ---------------------------------------------------
+
+
+MEMO_FRAME = RelationalStructure(
+    C=("j1", "j2"), D=("m", "n"),
+    R=frozenset({("m", "j1"), ("n", "j2")}),
+    S=frozenset({("n", "j2", "m"), ("m", "j1", "n")}),
+)
+
+
+UNARY_OPS = ("diamond", "rhd", "blacksquare", "blacktriangleright")
+BINARY_OPS = ("pdra", "star", "eqless", "br", "brB", "triangle")
+
+
+def test_each_operator_call_is_computed_once_per_algebra():
+    computed = collections.Counter()
+
+    def counted(name):
+        raw = getattr(FrameAlgebra, name).__wrapped__
+
+        def method(self, *args):
+            computed[name, args] += 1
+            return raw(self, *args)
+
+        method.__name__ = name
+        return memoized(method)
+
+    counting = type(
+        "ComputeCounting", (FrameAlgebra,),
+        {name: counted(name) for name in UNARY_OPS + BINARY_OPS},
+    )
+    algebra, fresh = counting(MEMO_FRAME), FrameAlgebra(MEMO_FRAME)
+    for _ in range(3):
+        for name in UNARY_OPS:
+            for x in range(4):
+                assert getattr(algebra, name)(x) == getattr(fresh, name)(x)
+        for name in BINARY_OPS:
+            for x, y in itertools.product(range(4), repeat=2):
+                got = getattr(algebra, name)(x, y)
+                assert got == getattr(fresh, name)(x, y)
+    assert len(computed) == 4 * len(UNARY_OPS) + 16 * len(BINARY_OPS)
+    assert set(computed.values()) == {1}
+
+
+def test_two_algebras_on_one_frame_share_no_entries():
+    first, second = FrameAlgebra(MEMO_FRAME), FrameAlgebra(MEMO_FRAME)
+    first.pdra(3, 1)
+    first.diamond(1)
+    assert dict(second._cache) == {}
+    second.pdra(3, 1)
+    assert second._cache["pdra"] is not first._cache["pdra"]
+
+
+def test_a_dropped_algebra_is_collected():
+    algebra = FrameAlgebra(MEMO_FRAME)
+    for c in range(4):
+        for e in range(4):
+            algebra.star(c, e)
+            algebra.triangle(c, e)
+    ref = weakref.ref(algebra)
+    del algebra
+    assert ref() is None
 
 
 # -- sort clashes --------------------------------------------------------

@@ -34,6 +34,45 @@ def test_commutative_canonicalization():
     assert tm.star_t(q1, q2) != tm.star_t(q2, q1)
 
 
+def test_term_identity_includes_sort_and_constructor():
+    pairs = [
+        (tm.atom_ia("x"), tm.atom_c("x")),
+        (tm.atom_ia("tau"), tm.tau()),
+        (tm.atom_c("top"), tm.top_c()),
+        (tm.atom_ia("meet(q,q)"), tm.meet(tm.atom_ia("q"), tm.atom_ia("q"))),
+    ]
+    for a, b in pairs:
+        # same rendering, different terms
+        assert repr(a) == repr(b)
+        assert a != b and hash(a) != hash(b)
+        assert len({a, b}) == 2
+    assert tm.atom_ia("x") == tm.atom_ia("x")
+    assert hash(tm.atom_ia("x")) == hash(tm.atom_ia("x"))
+
+
+def test_commutative_arguments_print_in_key_order():
+    q1, t1 = tm.atom_ia("q1"), tm.atom_c("t1")
+    assert repr(tm.meet(q1, tm.bot_ia())) == "meet(botIA,q1)"
+    assert repr(tm.join(tm.tau(), q1)) == "join(q1,tau)"
+    assert repr(tm.and_c(tm.top_c(), t1)) == "and(t1,top)"
+    assert repr(tm.or_c(t1, tm.bot_c())) == "or(botC,t1)"
+    assert repr(tm.meet(tm.diamond_c(t1), q1)) == "meet(diamondC(t1),q1)"
+
+
+def test_atom_named_like_a_constant_is_evaluated_as_an_atom():
+    frame = RelationalStructure(C=("j",), D=("m", "n"))
+    algebra = FrameAlgebra(frame)
+    seq = tm.Sequent(tm.tau(), tm.atom_ia("tau"))
+    v = {"tau": 3}
+    assert tm.eval_term(algebra, v, tm.atom_ia("tau")) == 3
+    assert tm.eval_term(algebra, v, tm.tau()) == algebra.ia_top()
+    assert not tm.holds(algebra, v, seq)
+    result = tm.check_validity(algebra, seq)
+    assert not result.valid
+    assert not tm.holds(algebra, result.counterexample, seq)
+    assert result.counterexample == {"tau": 1}
+
+
 def test_frame_eval_basics():
     frame = RelationalStructure(
         C=("j",), D=("m", "n"),
