@@ -44,6 +44,8 @@ from .errors import (
 
 PROFILE_CAP = 4096
 
+_INT64 = np.iinfo(np.int64)
+
 CHAIN = "chain"
 POSET = "poset"
 
@@ -110,12 +112,14 @@ class Scale:
     def value_fraction(self, i):
         """Exact rational score of a value, for the sum rule."""
         label = self.values[i]
+        raw = label
         if self.numeric and label in self.numeric:
             raw = self.numeric[label]
-            return raw if isinstance(raw, Fraction) else Fraction(raw)
+            if isinstance(raw, Fraction):
+                return raw
         try:
-            return Fraction(label)
-        except (ValueError, ZeroDivisionError):
+            return Fraction(raw)
+        except (TypeError, ValueError, ArithmeticError):
             raise self._error(
                 NonLinearScale,
                 f"no rational value for label {shortened(repr(label))}",
@@ -150,8 +154,13 @@ class FeatureSpace:
     Profile ids follow the lexicographic enumeration in declared parameter
     order (the first parameter varies slowest), so ids are deterministic.
 
-    ``values`` is the n x p matrix of value indices, row ``pid`` being
-    profile ``pid``; ``profiles`` and ``index`` are read off it.  Every
+    ``values`` is the read-only n x p matrix of value indices, row
+    ``pid`` being profile ``pid``, in the smallest unsigned dtype that
+    holds them; it is the only copy of the profiles the space keeps.
+    ``profile_id`` computes an id as mixed-radix digits and ``labels``
+    reads the id's row, so neither needs a tuple per profile;
+    ``profiles`` (those tuples) and ``index`` (tuple -> id) are built
+    off ``values`` on first use, for the tests and the witness.  Every
     sum-ready scale has a score table of its values times the space's
     denominator D, in int64 when no sum over the p parameters can reach
     2**62 and in Python ints (``dtype=object``) otherwise, so sums stay
@@ -174,23 +183,16 @@ class FeatureSpace:
         self.params = tuple((name, scale) for name, scale in params)
         self.names = tuple(names)
         self.scale_of = {name: scale for name, scale in params}
-        self.values = np.indices(sizes).reshape(len(sizes), -1).T
+        self.n = total
+        dtype = np.min_scalar_type(max(sizes))
+        self.values = np.indices(sizes, dtype).reshape(len(sizes), -1).T
         self.values.setflags(write=False)
-        self.profiles = tuple(map(tuple, self.values.tolist()))
-        self.index = {p: i for i, p in enumerate(self.profiles)}
-        self.n = len(self.profiles)
         self._set_score_tables()
 
     def _set_score_tables(self):
         scores = {}
         for k, (_, scale) in enumerate(self.params):
-            try:
-                ready = scale.is_sum_ready()
-            except (TypeError, ValueError, ArithmeticError):
-                # a numeric entry that is no rational: the sum rule raises
-                # this error again where it meets the scale
-                ready = False
-            if ready:
+            if scale.is_sum_ready():
                 scores[k] = [
                     scale.value_fraction(i) for i in range(len(scale.values))
                 ]
@@ -214,9 +216,19 @@ class FeatureSpace:
         """Coordinatewise dominance over all parameters, built on first use."""
         return rule_preorder(self, TOTAL_DOMINANCE, self.names)
 
+    @functools.cached_property
+    def profiles(self):
+        """Value-index tuple of each profile, built on first use."""
+        return tuple(map(tuple, self.values.tolist()))
+
+    @functools.cached_property
+    def index(self):
+        """Profile id of each value-index tuple, built on first use."""
+        return {p: i for i, p in enumerate(self.profiles)}
+
     def profile_id(self, assignment):
         """Id of the profile given as {parameter name: value label}."""
-        key = []
+        pid = 0
         for name, scale in self.params:
             if name not in assignment:
                 raise UnknownParameter(f"no value for parameter {name}")
@@ -225,13 +237,14 @@ class FeatureSpace:
                 raise UnknownParameter(
                     f"value {label!r} not on scale {name}"
                 )
-            key.append(scale.values.index(label))
-        return self.index[tuple(key)]
+            # the first parameter varies slowest: mixed-radix digits
+            pid = pid * len(scale.values) + scale.values.index(label)
+        return pid
 
     def labels(self, pid):
         return {
             name: scale.values[v]
-            for (name, scale), v in zip(self.params, self.profiles[pid])
+            for (name, scale), v in zip(self.params, self.values[pid].tolist())
         }
 
     def _param_positions(self, names):
@@ -262,7 +275,7 @@ class FeatureSpace:
                 name, scale = self.params[k]
                 if scale.kind != CHAIN:
                     raise NonLinearScale(f"parameter {name} is not on a chain")
-                scale.value_fraction(self.profiles[pid][k])
+                scale.value_fraction(self.values[pid, k])
         # these profiles score, but another value on the scale does not
         raise NonLinearScale(
             f"parameter {self.params[missing[0]][0]} is not sum-scorable"
@@ -302,13 +315,19 @@ class FeatureSpace:
             before *= size
         return grid.reshape(-1)
 
-    def _threshold_bound(self, k):
+    def _threshold_bound(self, k, dtype=object):
         """floor(k * D): a sum-score s / D is at most k iff s is at most it.
 
-        Compare it with Python ints (``tolist``), never inside an int64
-        array, where a bound past 2**63 would not fit.
+        For sums of the given dtype: a Python int for Python-int sums, and
+        for int64 sums clamped into int64's range, so that numpy compares
+        it inside the array exactly (numpy before 2.0 would turn an int
+        past 2**63 into a float).  Every int64 sum lies below 2**62 in
+        size, so the clamp changes no comparison.
         """
-        return k.numerator * self.denominator // k.denominator
+        bound = k.numerator * self.denominator // k.denominator
+        if dtype == object:
+            return bound
+        return min(max(bound, _INT64.min), _INT64.max)
 
 
 def build_space(params, cap=PROFILE_CAP):
@@ -390,10 +409,18 @@ class Agenda:
 
 
 def projection_agenda(space, names):
-    """Kernel of the projection onto the given parameter set."""
-    positions = space._param_positions(names)
-    rows = space.values[:, positions].tolist()
-    part = pt.Partition._from_labels(space.n, map(tuple, rows))
+    """Kernel of the projection onto the given parameter set.
+
+    Each profile is labelled by the mixed-radix code of its values on the
+    set; the empty set labels every profile 0, the top.
+    """
+    positions = sorted(set(space._param_positions(names)))
+    if positions:
+        sizes = [len(space.params[k][1].values) for k in positions]
+        codes = np.ravel_multi_index(space.values[:, positions].T, sizes)
+    else:
+        codes = np.zeros(space.n, dtype=np.intp)
+    part = pt.Partition._from_labels(space.n, codes.tolist())
     return Agenda(part, ProjectionDescriptor(frozenset(names)))
 
 
@@ -416,21 +443,28 @@ def threshold_issue(space, names, k):
     """The yes/no question: is the sum-score over the set at most k?"""
     k = k if isinstance(k, Fraction) else Fraction(k)
     positions = space._sum_positions(names, ())
-    bound = space._threshold_bound(k)
-    sums = space._sums(positions).tolist()
-    low = [pid for pid, s in enumerate(sums) if s <= bound]
-    if not low or len(low) == space.n:
+    return _threshold_issue(space, names, k, space._sums(positions))
+
+
+def _threshold_issue(space, names, k, sums):
+    """The threshold issue at k, given every profile's scaled sum."""
+    high = sums > space._threshold_bound(k, sums.dtype)
+    if high.all() or not high.any():
         raise DegenerateThreshold(
             f"threshold {k} leaves an empty cell over {sorted(names)}"
         )
-    part = pt.Partition.bipartition(space.n, low)
+    part = pt.Partition._from_side(high)
     return Agenda(part, ThresholdDescriptor(frozenset(names), k))
 
 
 def threshold_issues_for(space, names):
     """One threshold issue per achievable non-maximal sum value."""
-    sums = achievable_sums(space, names)
-    return [threshold_issue(space, names, k) for k in sums[:-1]]
+    positions = space._sum_positions(names, range(space.n))
+    sums = space._sums(positions)
+    return [
+        _threshold_issue(space, names, Fraction(s, space.denominator), sums)
+        for s in sorted(set(sums.tolist()))[:-1]
+    ]
 
 
 def meet_agendas(*agendas):

@@ -119,9 +119,20 @@ class Term:
         return frozenset(ia), frozenset(c)
 
 
+def _identity(t):
+    """What makes terms equal, as a totally ordered value."""
+    return (t.op, t.name, tuple(map(_identity, t.args)))
+
+
 def _mk(op, *args, name=""):
     if op in COMMUTATIVE:
-        args = tuple(sorted(args, key=lambda t: t._key))
+        # by key, and by identity where two keys tie (an atom named like
+        # another term), so either argument order gives one term
+        first, second = args
+        if second._key < first._key or (
+            second._key == first._key and _identity(second) < _identity(first)
+        ):
+            args = (second, first)
     return Term(op, tuple(args), name)
 
 

@@ -6,8 +6,10 @@ relations: finer partitions sit below coarser ones, the all-singletons
 partition is the bottom and the single-block partition is the top.
 
 Every partition comes from a labelling of the elements, one class per
-distinct label: ``Partition._from_labels`` is the only code that numbers
-the classes and orders the blocks.
+distinct label: ``Partition._from_labels`` is the only general code that
+numbers the classes and orders the blocks.  ``Partition._from_side``
+gives a two-block labelling, a boolean array, the same canonical form
+without a pass in Python.
 """
 
 from __future__ import annotations
@@ -33,9 +35,20 @@ from .errors import (
 
 COATOM_ENUMERATION_CAP = 20
 
-# 0..m-1 for the largest ground set m seen: blocks hold these int objects,
-# so partitions share them rather than each keeping copies above 256
+# 0..m-1 for the largest ground set m seen, as a tuple and as an object
+# array: blocks hold these int objects, so partitions share them rather
+# than each keeping copies above 256
 _ELEMENTS = ()
+_ELEMENT_ARRAY = np.empty(0, dtype=object)
+
+
+def _elements(n):
+    """The shared ints 0..m-1 (also in ``_ELEMENT_ARRAY``), some m >= n."""
+    global _ELEMENTS, _ELEMENT_ARRAY
+    if len(_ELEMENTS) < n:
+        _ELEMENTS = tuple(range(n))
+        _ELEMENT_ARRAY = np.array(_ELEMENTS, dtype=object)
+    return _ELEMENTS
 
 
 class Partition:
@@ -76,10 +89,7 @@ class Partition:
         """
         if n < 1:
             raise TooSmall(f"ground set must have size >= 1, got {n}")
-        global _ELEMENTS
-        elements = _ELEMENTS
-        if len(elements) < n:
-            elements = _ELEMENTS = tuple(range(n))
+        elements = _elements(n)
         # each label not seen before gets the next class number
         number = collections.defaultdict(itertools.count().__next__)
         block_of = list(map(number.__getitem__, labels))
@@ -90,6 +100,25 @@ class Partition:
         part.n = n
         part.blocks = tuple(map(tuple, blocks))
         part.block_of = tuple(block_of)
+        return part
+
+    @classmethod
+    def _from_side(cls, side):
+        """The bipartition of {0, .., n-1} by a boolean array, unchecked.
+
+        The block of element 0 comes first, as ``_from_labels`` orders it;
+        the caller makes sure that neither block is empty.
+        """
+        n = len(side)
+        _elements(n)
+        other = side != side[0]
+        part = cls.__new__(cls)
+        part.n = n
+        part.blocks = tuple(
+            tuple(_ELEMENT_ARRAY[np.flatnonzero(cell)].tolist())
+            for cell in (~other, other)
+        )
+        part.block_of = tuple(other.view(np.int8).tolist())
         return part
 
     # -- constructors ---------------------------------------------------
@@ -511,27 +540,3 @@ def prefers(e, base, u, w):
         if not 0 <= x < e.n:
             raise IndexOutOfRange(f"profile {x} outside 0..{e.n - 1}")
     return pair_order(_class_below(e, base, w, u), _class_below(e, base, u, w))
-
-
-def random_partition(rng, n):
-    """Uniform-ish random partition: random merges over a random count."""
-    parts = [[x] for x in range(n)]
-    merges = rng.randrange(n)
-    for _ in range(merges):
-        if len(parts) == 1:
-            break
-        i, j = rng.sample(range(len(parts)), 2)
-        parts[i] = parts[i] + parts[j]
-        del parts[j]
-    return Partition(n, parts)
-
-
-def random_preorder(rng, n, density=0.3):
-    """Random preorder: RT closure of a random pair set."""
-    pairs = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y and rng.random() < density
-    ]
-    return Preorder.from_pairs(n, pairs, close=True)

@@ -25,6 +25,7 @@ from agenda_algebra.logic.frames import (
 from agenda_algebra.scenario import analyze, load_scenario
 from agenda_algebra.scenarios import scenario_text
 
+from random_structures import random_partition, random_preorder
 from test_fixtures_gt import _bde_report
 
 
@@ -150,7 +151,7 @@ def test_criterion_4_property_suites_and_counterexamples():
     rng = random.Random(2024)
     for _ in range(500):
         n = rng.randrange(2, 9)
-        p, q, r = (pt.random_partition(rng, n) for _ in range(3))
+        p, q, r = (random_partition(rng, n) for _ in range(3))
         assert pt.meet(p, q) == pt.meet(q, p)
         assert pt.join(p, q) == pt.join(q, p)
         assert pt.meet(p, pt.meet(q, r)) == pt.meet(pt.meet(p, q), r)
@@ -161,8 +162,8 @@ def test_criterion_4_property_suites_and_counterexamples():
         assert pt.refines(p, q) == (pt.join(p, q) == q)
     for _ in range(500):
         n = rng.randrange(2, 9)
-        e = pt.random_partition(rng, n)
-        bigger = pt.join(e, pt.random_partition(rng, n))
+        e = random_partition(rng, n)
+        bigger = pt.join(e, random_partition(rng, n))
         x = frozenset(i for i in range(n) if rng.random() < 0.5)
         y = frozenset(i for i in range(n) if rng.random() < 0.5)
         assert (pt.diamond_set(e, x) <= y) == (x <= pt.box_set(e, y))
@@ -200,7 +201,7 @@ def test_criterion_5_roundtrips():
     rng = random.Random(77)
     for _ in range(200):
         n = rng.randrange(2, 17)
-        pre = pt.random_preorder(rng, n)
+        pre = random_preorder(rng, n)
         e = pt.equiv_from_preorder(pre)
         assert pt.preorder_from_equiv(e, pre) == pre
         assert pt.equiv_from_preorder(pt.preorder_from_equiv(e, pre)) == e

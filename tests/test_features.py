@@ -138,6 +138,24 @@ def test_sum_rule_rejects_a_numeric_entry_that_is_no_rational():
     ):
         with pytest.raises(NonLinearScale, match="x is not sum-scorable"):
             build()
+    # the entry points that score every profile meet label "a" first
+    for build in (
+        lambda: ft.achievable_sums(space, ["x"]),
+        lambda: ft.threshold_issues_for(space, ["x", "y"]),
+    ):
+        with pytest.raises(
+            NonLinearScale, match="scale x: no rational value for label 'a'"
+        ):
+            build()
+
+
+@pytest.mark.parametrize("entry", ["zz", None, float("nan"), float("inf"), "1/0"])
+def test_value_fraction_turns_a_failed_numeric_entry_into_nonlinear(entry):
+    odd = ft.chain("x", ["a", "b"], numeric={"a": entry, "b": 1})
+    with pytest.raises(NonLinearScale, match="no rational value for label"):
+        odd.value_fraction(0)
+    assert not odd.is_sum_ready()
+    assert odd.value_fraction(1) == 1
 
 
 def test_threshold_issue():

@@ -35,6 +35,8 @@ from agenda_algebra.errors import (
     NonLinearScale,
 )
 
+from random_structures import random_partition
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
@@ -332,7 +334,7 @@ def test_decide_matches_fraction_definitions(space, data):
     second = data.draw(st.integers(0, space.n - 1))
     # descriptors are attached by hand, so even scales that the agenda
     # constructors refuse reach decide
-    part = pt.random_partition(data.draw(st.randoms()), space.n)
+    part = random_partition(data.draw(st.randoms()), space.n)
     params = frozenset(names)
     for descriptor in (
         ft.ProjectionDescriptor(params),
@@ -373,7 +375,7 @@ def quotient_agenda(space, data):
     kinds = ["opaque", "params"] + ["thresholds"] * bool(chains)
     kind = data.draw(st.sampled_from(kinds))
     if kind == "opaque":
-        part = pt.random_partition(data.draw(st.randoms()), space.n)
+        part = random_partition(data.draw(st.randoms()), space.n)
         return ft.Agenda(part, ft.Opaque())
     if kind == "params":
         names = data.draw(st.lists(st.sampled_from(space.names), unique=True))
@@ -527,3 +529,142 @@ def test_build_space_and_decide_allocate_no_square_matrix():
     finally:
         tracemalloc.stop()
     assert "dominance" not in space.__dict__
+
+
+# -- numpy agenda constructors against their references ------------------------
+
+
+@st.composite
+def sum_ready_spaces(draw):
+    """1-3 chains with rational values, some so large that the score
+    tables hold Python ints (``dtype=object``)."""
+    values = st.one_of(
+        small_rationals,
+        huge_rationals,
+        st.integers(-(2**70), 2**70).map(Fraction),
+    )
+    params = []
+    for i in range(draw(st.integers(1, 3))):
+        labels = [f"v{j}" for j in range(draw(st.integers(1, 4)))]
+        numeric = {label: draw(values) for label in labels}
+        params.append((f"p{i}", ft.chain(f"p{i}", labels, numeric=numeric)))
+    return ft.build_space(params)
+
+
+@PROPERTY_SETTINGS
+@given(sum_ready_spaces(), st.data())
+def test_threshold_issue_matches_bipartition(space, data):
+    names = data.draw(st.lists(
+        st.sampled_from(space.names), min_size=1,
+        max_size=2 * len(space.names),
+    ))
+    sums = [ref_sum_score(space, pid, names) for pid in range(space.n)]
+    tiny = Fraction(1, 2**100)
+    k = data.draw(st.one_of(
+        st.sampled_from(sums).flatmap(
+            lambda s: st.sampled_from([s, s - tiny, s + tiny])
+        ),
+        # scaled bounds floor(k * D) at int64's edges
+        st.sampled_from(
+            [2**63, 2**63 - 1, -(2**63), -(2**63) - 1, 2**64, -(2**64)]
+        ).map(lambda b: Fraction(b, space.denominator)),
+        huge_rationals,
+    ))
+    low = [pid for pid, s in enumerate(sums) if s <= k]
+    if not low or len(low) == space.n:
+        with pytest.raises(DegenerateThreshold):
+            ft.threshold_issue(space, names, k)
+        return
+    got = ft.threshold_issue(space, names, k).partition
+    want = pt.Partition.bipartition(space.n, low)
+    assert (got.n, got.blocks, got.block_of) == (
+        want.n, want.blocks, want.block_of
+    )
+
+
+def test_threshold_blocks_share_the_element_ints():
+    # ints above 256 are objects of their own unless shared
+    space = ft.build_space([(f"x{i}", ft.binary(f"x{i}")) for i in range(9)])
+    for issue in ft.threshold_issues_for(space, space.names[:3]):
+        blocks = issue.partition.blocks
+        assert sum(map(len, blocks)) == 512
+        assert all(x is pt._ELEMENTS[x] for block in blocks for x in block)
+
+
+def test_threshold_issue_compares_bounds_past_int64_exactly():
+    small = ft.build_space([("x", ft.chain("x", ["0", "1", "2"]))])
+    assert small._score_dtype is np.int64
+    for k in (2**64, -(2**64), Fraction(2**63, 1), Fraction(-(2**63) - 1)):
+        with pytest.raises(DegenerateThreshold):
+            ft.threshold_issue(small, ["x"], k)
+    top = 2**63 + 1
+    wide = ft.build_space([
+        ("x", ft.chain("x", ["a", "b", "c"], {"a": 0, "b": top - 2, "c": top}))
+    ])
+    assert wide._score_dtype is object
+    for k, low in ((top - 1, [0, 1]), (top - 2, [0, 1]), (top - 3, [0])):
+        got = ft.threshold_issue(wide, ["x"], k).partition
+        assert got == pt.Partition.bipartition(3, low)
+    assert [a.partition.blocks for a in ft.threshold_issues_for(wide, ["x"])] \
+        == [((0,), (1, 2)), ((0, 1), (2,))]
+
+
+@PROPERTY_SETTINGS
+@given(grid_spaces(), st.data())
+def test_projection_agenda_matches_tuple_labels(space, data):
+    # empty lists and repeated names included
+    names = data.draw(st.lists(
+        st.sampled_from(space.names), max_size=2 * len(space.names)
+    ))
+    positions = [space.names.index(name) for name in names]
+    want = pt.Partition.from_key(
+        space.n, lambda pid: tuple(space.profiles[pid][k] for k in positions)
+    )
+    got = ft.projection_agenda(space, names)
+    assert (got.partition.blocks, got.partition.block_of) == (
+        want.blocks, want.block_of
+    )
+    assert got.descriptor == ft.ProjectionDescriptor(frozenset(names))
+    if not names:
+        assert got.partition == pt.Partition.single_block(space.n)
+
+
+@PROPERTY_SETTINGS
+@given(grid_spaces(), st.data())
+def test_profile_id_and_labels_match_the_cached_index(space, data):
+    pid = data.draw(st.integers(0, space.n - 1))
+    labels = space.labels(pid)
+    got = space.profile_id(labels)
+    assert "profiles" not in space.__dict__ and "index" not in space.__dict__
+    assert got == pid == space.index[space.profiles[pid]]
+    assert labels == {
+        name: scale.values[v]
+        for (name, scale), v in zip(space.params, space.profiles[pid])
+    }
+
+
+@PROPERTY_SETTINGS
+@given(grid_spaces(), st.data())
+def test_decide_keeps_one_copy_of_the_profiles(space, data):
+    first, second = (
+        space.profile_id(space.labels(data.draw(st.integers(0, space.n - 1))))
+        for _ in range(2)
+    )
+    chains = [name for name, scale in space.params if scale.kind == ft.CHAIN]
+    decisions = [
+        (ft.TOTAL_DOMINANCE, ft.projection_agenda(space, space.names[:1])),
+        (ft.SUM, quotient_agenda(space, data)),
+        (ft.TOTAL_DOMINANCE, quotient_agenda(space, data)),
+    ]
+    if chains:
+        decisions.append((ft.SUM, ft.sum_agenda(space, chains)))
+        issues = ft.threshold_issues_for(space, chains)
+        decisions.extend((ft.SUM, issue) for issue in issues)
+    for rule, agenda in decisions:
+        ft.decide(space, rule, agenda, first, second)
+    assert "profiles" not in space.__dict__
+    assert "index" not in space.__dict__
+    assert not space.values.flags.writeable
+    assert space.values.dtype == np.min_scalar_type(
+        max(len(scale.values) for _, scale in space.params)
+    )

@@ -17,6 +17,8 @@ from agenda_algebra.errors import (
     TooSmall,
 )
 
+from random_structures import random_partition, random_preorder
+
 
 def labels3(*blocks):
     # a=0, b=1, c=2 on the three-element ground set
@@ -177,7 +179,7 @@ def test_lattice_laws_random():
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randrange(2, 9)
-        p, q, r = (pt.random_partition(rng, n) for _ in range(3))
+        p, q, r = (random_partition(rng, n) for _ in range(3))
         assert pt.meet(p, q) == pt.meet(q, p)
         assert pt.join(p, q) == pt.join(q, p)
         assert pt.meet(p, pt.meet(q, r)) == pt.meet(pt.meet(p, q), r)
@@ -250,8 +252,8 @@ def test_modal_residuation_and_monotonicity_random():
     rng = random.Random(11)
     for _ in range(500):
         n = rng.randrange(2, 9)
-        e = pt.random_partition(rng, n)
-        e2 = pt.join(e, pt.random_partition(rng, n))  # e <= e2
+        e = random_partition(rng, n)
+        e2 = pt.join(e, random_partition(rng, n))  # e <= e2
         x = frozenset(i for i in range(n) if rng.random() < 0.4)
         y = frozenset(i for i in range(n) if rng.random() < 0.4)
         # adjunction
@@ -311,7 +313,7 @@ def test_roundtrip_random():
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randrange(2, 17)
-        pre = pt.random_preorder(rng, n)
+        pre = random_preorder(rng, n)
         e = pt.equiv_from_preorder(pre)
         assert pt.preorder_from_equiv(e, pre) == pre
 
@@ -321,8 +323,8 @@ def test_strong_compatibility_roundtrip_random():
     hits = 0
     for _ in range(300):
         n = rng.randrange(2, 9)
-        pre = pt.random_preorder(rng, n)
-        e = pt.random_partition(rng, n)
+        pre = random_preorder(rng, n)
+        e = random_partition(rng, n)
         if pt.compatibility(e, pre) is pt.Compatibility.STRONGLY_COMPATIBLE:
             hits += 1
             assert pt.equiv_from_preorder(pt.preorder_from_equiv(e, pre)) == e
@@ -474,7 +476,7 @@ def test_meet_and_join_match_references(data, n):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 64), st.integers(0, 2**32), st.sampled_from([0.02, 0.1]))
 def test_equiv_from_preorder_matches_reference(n, seed, density):
-    pre = pt.random_preorder(random.Random(seed), n, density)
+    pre = random_preorder(random.Random(seed), n, density)
     mutual = pre.holds & pre.holds.T
     want = pt.Partition(
         n, {frozenset(np.flatnonzero(mutual[x]).tolist()) for x in range(n)}

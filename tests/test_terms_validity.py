@@ -50,6 +50,26 @@ def test_term_identity_includes_sort_and_constructor():
     assert hash(tm.atom_ia("x")) == hash(tm.atom_ia("x"))
 
 
+def test_commutative_arguments_tied_on_key_order_by_identity():
+    # an atom named like another term shares its key; either argument
+    # order must still build one term
+    q = tm.atom_ia("q")
+    tied = [
+        (tm.atom_ia("tau"), tm.tau()),
+        (tm.atom_c("top"), tm.top_c()),
+        (tm.atom_ia("meet(q,q)"), tm.meet(q, q)),
+        (tm.meet(tm.atom_ia("tau"), q), tm.meet(tm.tau(), q)),
+    ]
+    for a, b in tied:
+        make = tm.meet if a.sort == tm.IA else tm.and_c
+        other = tm.join if a.sort == tm.IA else tm.or_c
+        assert make(a, b) == make(b, a) and hash(make(a, b)) == hash(make(b, a))
+        assert other(a, b) == other(b, a)
+        assert repr(make(a, b)) == repr(make(b, a))
+        assert len({make(a, b), make(b, a), make(a, a)}) == 2
+    assert tm.meet(tm.atom_ia("tau"), tm.tau()).args[0] == tm.atom_ia("tau")
+
+
 def test_commutative_arguments_print_in_key_order():
     q1, t1 = tm.atom_ia("q1"), tm.atom_c("t1")
     assert repr(tm.meet(q1, tm.bot_ia())) == "meet(botIA,q1)"
