@@ -158,9 +158,7 @@ class FeatureSpace:
     ``pid`` being profile ``pid``, in the smallest unsigned dtype that
     holds them; it is the only copy of the profiles the space keeps.
     ``profile_id`` computes an id as mixed-radix digits and ``labels``
-    reads the id's row, so neither needs a tuple per profile;
-    ``profiles`` (those tuples) and ``index`` (tuple -> id) are built
-    off ``values`` on first use, for the tests and the witness.  Every
+    reads the id's row, so neither needs a tuple per profile.  Every
     sum-ready scale has a score table of its values times the space's
     denominator D, in int64 when no sum over the p parameters can reach
     2**62 and in Python ints (``dtype=object``) otherwise, so sums stay
@@ -184,7 +182,7 @@ class FeatureSpace:
         self.names = tuple(names)
         self.scale_of = {name: scale for name, scale in params}
         self.n = total
-        dtype = np.min_scalar_type(max(sizes))
+        dtype = np.min_scalar_type(max(sizes) - 1)
         self.values = np.indices(sizes, dtype).reshape(len(sizes), -1).T
         self.values.setflags(write=False)
         self._set_score_tables()
@@ -215,16 +213,6 @@ class FeatureSpace:
     def dominance(self):
         """Coordinatewise dominance over all parameters, built on first use."""
         return rule_preorder(self, TOTAL_DOMINANCE, self.names)
-
-    @functools.cached_property
-    def profiles(self):
-        """Value-index tuple of each profile, built on first use."""
-        return tuple(map(tuple, self.values.tolist()))
-
-    @functools.cached_property
-    def index(self):
-        """Profile id of each value-index tuple, built on first use."""
-        return {p: i for i, p in enumerate(self.profiles)}
 
     def profile_id(self, assignment):
         """Id of the profile given as {parameter name: value label}."""
@@ -627,10 +615,10 @@ def equivariance_witness_check(space):
         tuple(s.values) != ("0", "1") for _, s in space.params
     ):
         raise WrongSpace("the witness lives on the 5-binary-parameter space")
-    w = space.index[(1, 0, 0, 0, 0)]
-    u = space.index[(0, 1, 0, 0, 0)]
-    wp = space.index[(0, 0, 0, 0, 0)]
-    up = space.index[(1, 1, 0, 0, 0)]
+    w, u, wp, up = (
+        space.profile_id(dict(zip(space.names, labels)))
+        for labels in ("10000", "01000", "00000", "11000")
+    )
     g = {w: wp, u: up}
     pair_u = (w, u)
     pair_up = (wp, up)

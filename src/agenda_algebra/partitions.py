@@ -98,7 +98,10 @@ class Partition:
             blocks[i].append(x)
         part = cls.__new__(cls)
         part.n = n
-        part.blocks = tuple(map(tuple, blocks))
+        # a list, not an iterator: a tuple built from an iterator is
+        # resized to its length and, once freed, parks on the free list of
+        # that size, where nothing of this size takes it back
+        part.blocks = tuple([tuple(b) for b in blocks])
         part.block_of = tuple(block_of)
         return part
 
@@ -114,9 +117,9 @@ class Partition:
         other = side != side[0]
         part = cls.__new__(cls)
         part.n = n
-        part.blocks = tuple(
-            tuple(_ELEMENT_ARRAY[np.flatnonzero(cell)].tolist())
-            for cell in (~other, other)
+        part.blocks = (
+            tuple(_ELEMENT_ARRAY[np.flatnonzero(~other)].tolist()),
+            tuple(_ELEMENT_ARRAY[np.flatnonzero(other)].tolist()),
         )
         part.block_of = tuple(other.view(np.int8).tolist())
         return part
@@ -231,7 +234,7 @@ def meet_all(parts, n=None):
         return Partition.single_block(n)
     for p in parts[1:]:
         _check_ground(parts[0], p)
-    labels = zip(*(p.block_of for p in parts))
+    labels = zip(*[p.block_of for p in parts])
     return Partition._from_labels(parts[0].n, labels)
 
 

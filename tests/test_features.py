@@ -401,13 +401,13 @@ def test_nonlinear_scale_blocks_decisions():
     john = space.profile_id({"r": "2/3", "p": "1", "l": "1/2"})
     mary = space.profile_id({"r": "u", "p": "1", "l": "1"})
     r_scale = space.scale_of["r"]
-    r_pos = space.names.index("r")
+    r_col = space.values[:, space.names.index("r")].tolist()
     incomparable = [
         (a, b)
         for a in range(space.n)
         for b in range(space.n)
-        if not r_scale.leq(space.profiles[a][r_pos], space.profiles[b][r_pos])
-        and not r_scale.leq(space.profiles[b][r_pos], space.profiles[a][r_pos])
+        if not r_scale.leq(r_col[a], r_col[b])
+        and not r_scale.leq(r_col[b], r_col[a])
     ]
     assert (john, mary) in incomparable
     for names in (["r"], ["r", "p"], ["r", "l"], ["r", "p", "l"]):

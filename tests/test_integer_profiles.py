@@ -17,7 +17,9 @@ labels are rational, while the integer layer, which keeps tables only
 for sum-ready scales, raises ``NonLinearScale`` there.
 """
 
+import gc
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +45,13 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 # -- references: the Fraction definitions ------------------------------------
 
 
+def enumerated_profiles(space):
+    """Value-index tuple of each profile, the first parameter slowest."""
+    return tuple(itertools.product(
+        *(range(len(scale.values)) for _, scale in space.params)
+    ))
+
+
 def ref_sum_score(space, pid, names):
     positions = space._param_positions(names)
     total = Fraction(0)
@@ -52,7 +61,7 @@ def ref_sum_score(space, pid, names):
             raise NonLinearScale(
                 f"parameter {space.params[k][0]} is not on a chain"
             )
-        total += scale.value_fraction(space.profiles[pid][k])
+        total += scale.value_fraction(enumerated_profiles(space)[pid][k])
     return total
 
 
@@ -98,7 +107,7 @@ def ref_rule_preorder(space, rule, names):
         holds = np.ones((space.n, space.n), dtype=bool)
         for k in positions:
             scale = space.params[k][1]
-            col = np.array([p[k] for p in space.profiles])
+            col = np.array([p[k] for p in enumerated_profiles(space)])
             holds &= scale._leq[np.ix_(col, col)]
         return pt.Preorder(holds, validate=False)
     if rule == ft.SUM:
@@ -425,12 +434,8 @@ def test_quotient_decide_matches_dominance_preorder(space, data):
 @PROPERTY_SETTINGS
 @given(spaces())
 def test_value_matrix_and_dominance(space):
-    enumerated = tuple(itertools.product(
-        *(range(len(scale.values)) for _, scale in space.params)
-    ))
-    assert space.profiles == enumerated
+    enumerated = enumerated_profiles(space)
     assert space.values.tolist() == [list(p) for p in enumerated]
-    assert all(space.index[p] == i for i, p in enumerate(enumerated))
     assert space.dominance == ref_rule_preorder(
         space, ft.TOTAL_DOMINANCE, space.names
     )
@@ -591,6 +596,38 @@ def test_threshold_blocks_share_the_element_ints():
         assert all(x is pt._ELEMENTS[x] for block in blocks for x in block)
 
 
+def test_repeated_agendas_hold_no_memory_between_builds():
+    """Each build frees what it allocated, down to the block tuples.
+
+    On CPython a tuple built from an iterator is resized to its length and,
+    once freed, parks on the free list of that size, which no later build
+    draws from: a run of agendas would leave a tuple per build behind.
+    """
+    space = ft.build_space([(f"x{i}", ft.binary(f"x{i}")) for i in range(6)])
+
+    def build():
+        issues = [
+            ft.threshold_issue(space, space.names[3:], k) for k in (0, 1)
+        ]
+        return (
+            ft.projection_agenda(space, space.names[:3]),
+            ft.sum_agenda(space, space.names[3:]),
+            pt.meet_all([a.partition for a in issues]),
+        )
+
+    gc.disable()  # a full collection would empty the free lists
+    try:
+        for _ in range(50):
+            build()
+        before = sys.getallocatedblocks()
+        for _ in range(1000):
+            build()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 200
+
+
 def test_threshold_issue_compares_bounds_past_int64_exactly():
     small = ft.build_space([("x", ft.chain("x", ["0", "1", "2"]))])
     assert small._score_dtype is np.int64
@@ -617,8 +654,9 @@ def test_projection_agenda_matches_tuple_labels(space, data):
         st.sampled_from(space.names), max_size=2 * len(space.names)
     ))
     positions = [space.names.index(name) for name in names]
+    profiles = enumerated_profiles(space)
     want = pt.Partition.from_key(
-        space.n, lambda pid: tuple(space.profiles[pid][k] for k in positions)
+        space.n, lambda pid: tuple(profiles[pid][k] for k in positions)
     )
     got = ft.projection_agenda(space, names)
     assert (got.partition.blocks, got.partition.block_of) == (
@@ -631,21 +669,21 @@ def test_projection_agenda_matches_tuple_labels(space, data):
 
 @PROPERTY_SETTINGS
 @given(grid_spaces(), st.data())
-def test_profile_id_and_labels_match_the_cached_index(space, data):
+def test_profile_id_and_labels_match_the_enumeration(space, data):
     pid = data.draw(st.integers(0, space.n - 1))
+    profile = enumerated_profiles(space)[pid]
     labels = space.labels(pid)
-    got = space.profile_id(labels)
-    assert "profiles" not in space.__dict__ and "index" not in space.__dict__
-    assert got == pid == space.index[space.profiles[pid]]
     assert labels == {
         name: scale.values[v]
-        for (name, scale), v in zip(space.params, space.profiles[pid])
+        for (name, scale), v in zip(space.params, profile)
     }
+    assert space.profile_id(labels) == pid
 
 
 @PROPERTY_SETTINGS
 @given(grid_spaces(), st.data())
 def test_decide_keeps_one_copy_of_the_profiles(space, data):
+    built = set(space.__dict__)
     first, second = (
         space.profile_id(space.labels(data.draw(st.integers(0, space.n - 1))))
         for _ in range(2)
@@ -662,9 +700,17 @@ def test_decide_keeps_one_copy_of_the_profiles(space, data):
         decisions.extend((ft.SUM, issue) for issue in issues)
     for rule, agenda in decisions:
         ft.decide(space, rule, agenda, first, second)
-    assert "profiles" not in space.__dict__
-    assert "index" not in space.__dict__
+    assert set(space.__dict__) == built
     assert not space.values.flags.writeable
     assert space.values.dtype == np.min_scalar_type(
-        max(len(scale.values) for _, scale in space.params)
+        max(len(scale.values) for _, scale in space.params) - 1
     )
+
+
+@pytest.mark.parametrize("size, dtype", [
+    (1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16),
+])
+def test_value_matrix_takes_the_smallest_dtype_of_its_indices(size, dtype):
+    space = ft.build_space([("x", ft.chain("x", [str(i) for i in range(size)]))])
+    assert space.values.dtype == dtype
+    assert space.values[:, 0].tolist() == list(range(size))
