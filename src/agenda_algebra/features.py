@@ -229,7 +229,13 @@ class FeatureSpace:
             pid = pid * len(scale.values) + scale.values.index(label)
         return pid
 
+    def _check_profile(self, pid):
+        # numpy would wrap -1 round to profile n-1
+        if not 0 <= pid < self.n:
+            raise IndexOutOfRange(f"profile {pid} outside 0..{self.n - 1}")
+
     def labels(self, pid):
+        self._check_profile(pid)
         return {
             name: scale.values[v]
             for (name, scale), v in zip(self.params, self.values[pid].tolist())
@@ -245,6 +251,7 @@ class FeatureSpace:
 
     def sum_score(self, pid, names):
         """Exact rational sum of the profile's scores over the given set."""
+        self._check_profile(pid)
         positions = self._sum_positions(names, [pid])
         return Fraction(int(self._sums(positions, [pid])[0]), self.denominator)
 
@@ -519,10 +526,8 @@ def decide(space, rule, agenda, first, second):
     """
     if agenda.partition.n != space.n:
         raise GroundMismatch("agenda does not live on this space")
-    for pid in (first, second):
-        # numpy would wrap -1 round to profile n-1
-        if not 0 <= pid < space.n:
-            raise IndexOutOfRange(f"profile {pid} outside 0..{space.n - 1}")
+    space._check_profile(first)
+    space._check_profile(second)
     desc = agenda.descriptor
     if rule == TOTAL_DOMINANCE:
         if isinstance(desc, (SumDescriptor, ThresholdDescriptor)):

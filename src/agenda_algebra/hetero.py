@@ -101,22 +101,9 @@ def distributed_agenda(h, coalition):
     return HeteroAlgebra(h).rhd(coalition)
 
 
-def box_coalition(h, coalition):
-    """Boolean dual of the common agenda, on Boolean lattices only."""
-    return HeteroAlgebra(h).box(coalition)
-
-
 def blacksquare(h, agenda):
     """Largest coalition whose every member finds all issues of e relevant."""
     return HeteroAlgebra(h).blacksquare(agenda)
-
-
-def blacktriangleright(h, agenda):
-    """Largest coalition whose members individually refine e.
-
-    Each member's own agenda supports only issues that e supports.
-    """
-    return HeteroAlgebra(h).blacktriangleright(agenda)
 
 
 def subst_transform(h, coalition, agenda):
@@ -135,7 +122,7 @@ def star(h, agenda1, agenda2):
 
 
 def residual_second(h, coalition, agenda):
-    """Meet over all lattice elements whose transform refines e."""
+    """Meet of the issues whose transform refines e."""
     return HeteroAlgebra(h).eqless(coalition, agenda)
 
 
@@ -150,7 +137,7 @@ def brB(h, agenda1, agenda2):
 
 
 def vartriangle(h, coalition, agenda):
-    """Residual of the distributed transform in its agenda coordinate."""
+    """Meet of the issues whose distributed transform e refines."""
     return HeteroAlgebra(h).triangle(coalition, agenda)
 
 
@@ -162,11 +149,11 @@ class HeteroAlgebra:
     enters as the generator set its ``MeetOfIssues`` label names when that
     set closes to the agenda, and as its closed set otherwise; a mask
     leaves as the lattice element labelled by its generators, memoized per
-    algebra.  Coalitions cross as their masks.  Enumeration-backed pieces
-    (element lists, the two second-coordinate residuals, the box) need the
-    agenda lattice materialized.  Validity checks skip the wrappers: they
-    run on ``core`` and enter agendas and coalitions through ``core_ia``
-    and ``core_c``.
+    algebra.  Coalitions cross as their masks.  Only element lists and the
+    box need the agenda lattice materialized; every other operator, the
+    residuals included, answers on a lazy lattice.  Validity checks skip
+    the wrappers: they run on ``core`` and enter agendas and coalitions
+    through ``core_ia`` and ``core_c``.
     """
 
     def __init__(self, structure):

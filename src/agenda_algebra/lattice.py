@@ -138,7 +138,6 @@ class AgendaLattice:
         self.bottom = self._element(self._full)
         self.elements = None
         self._masks = ()        # closed set of each listed element
-        self._named = ()        # generator set each element's label names
         self._position = {}     # closed set -> index into elements
 
     # -- generator bitmasks ------------------------------------------------
@@ -233,10 +232,6 @@ class AgendaLattice:
         rows.sort(key=lambda row: row[:2])
         self.elements = tuple(row[3] for row in rows)
         self._masks = tuple(row[2] for row in rows)
-        self._named = tuple(
-            self._bit[own_id[mask]] if mask in own_id else mask
-            for mask in self._masks
-        )
         self._position = {mask: k for k, mask in enumerate(self._masks)}
 
     # -- lattice operations ------------------------------------------------
@@ -249,11 +244,6 @@ class AgendaLattice:
     @property
     def materialized(self):
         return self.elements is not None
-
-    def element_labels(self):
-        """Generator set each element's label names, in element order."""
-        self._require_materialized()
-        return self._named
 
     def issues_above(self, agenda):
         """Issues above a lattice member, in issue-set order."""

@@ -144,10 +144,20 @@ class FrameAlgebra:
     same operators compute those of the concrete structure.  An agenda
     value is then the generator set its label names, read through the
     lattice closure: meets are unions, joins intersect closures, and
-    ``x <= y`` holds when closure(x) contains y.  The agenda sort ranges
-    over the lattice elements, and an (agent, issue) pair with no
-    replacement adds nothing to ``pdra`` (its closed substitution entry
-    is the bottom).  For a frame the closure is the identity.
+    ``x <= y`` holds when closure(x) contains y.  An (agent, issue) pair
+    with no replacement adds nothing to ``pdra`` (its closed substitution
+    entry is the bottom).  For a frame the closure is the identity.
+
+    No operator enumerates the agenda sort.  ``pdra(c, x)`` is an AND and
+    ``br(c, x)`` an OR of one entry per issue of closure(x), so an agenda
+    passes the test of a residual exactly when each of its issues does,
+    and ``eqless`` and ``triangle`` join the passing coatoms (Jónsson &
+    Tarski 1951: an additive operator is fixed by its values on
+    (co)atoms).
+    ``all_ia`` lists the 2^nd issue masks; given a lattice they name its
+    elements through the closure, with repeats.  Only lists of lattice
+    elements and the Boolean box need the lattice materialized, and
+    ``HeteroAlgebra`` builds both.
 
     Each (operator, arguments) pair is computed once per instance and
     kept in ``self._cache[operator]``; unlike ``functools.cache`` on a
@@ -173,7 +183,6 @@ class FrameAlgebra:
         for a, b in frame.I:
             self.i_into[cpos[b]] |= 1 << cpos[a]
             self.i_from[cpos[a]] |= 1 << cpos[b]
-        self.lattice = lattice
         if lattice is None:
             self._closure = _identity
             self.r_closed, self.s_closed = self.r_mask, self.s_mask
@@ -192,9 +201,7 @@ class FrameAlgebra:
         return range(1 << self.nc)
 
     def all_ia(self):
-        if self.lattice is None:
-            return range(1 << self.nd)
-        return self.lattice.element_labels()
+        return range(1 << self.nd)
 
     def c_atoms(self):
         return [1 << i for i in range(self.nc)]
@@ -316,7 +323,7 @@ class FrameAlgebra:
     @memoized
     def eqless(self, c, e):
         out = 0
-        for cand in self.all_ia():
+        for cand in self.ia_coatoms():
             if self.pdra(c, cand) & e == e:
                 out |= cand
         return out
@@ -343,7 +350,7 @@ class FrameAlgebra:
     def triangle(self, c, e):
         closed = self._closure(e)
         out = 0
-        for cand in self.all_ia():
+        for cand in self.ia_coatoms():
             if closed & self.br(c, cand) == self.br(c, cand):
                 out |= cand
         return out

@@ -261,10 +261,23 @@ def test_decide_rule_compatibility():
 
 
 @pytest.mark.parametrize("pid", [-1, 4, 9])
-@pytest.mark.parametrize("path", ["projection", "sum", "threshold", "meet"])
+@pytest.mark.parametrize(
+    "path", ["projection", "sum", "threshold", "meet", "labels", "sum_score"]
+)
 def test_decide_refuses_profile_ids_outside_the_space(path, pid):
-    """-1 does not wrap round to the last profile, on any path."""
+    """-1 does not wrap round to the last profile, on any path.
+
+    ``labels`` and ``sum_score`` refuse the same ids with the same message.
+    """
     space = ft.build_space([(x, ft.binary(x)) for x in "xy"])
+    want = rf"profile {pid} outside 0\.\.3"
+    if path in ("labels", "sum_score"):
+        with pytest.raises(IndexOutOfRange, match=want):
+            if path == "labels":
+                space.labels(pid)
+            else:
+                space.sum_score(pid, ["x", "y"])
+        return
     rule, agenda = {
         "projection": (
             ft.TOTAL_DOMINANCE, ft.projection_agenda(space, ["x"])
@@ -276,7 +289,6 @@ def test_decide_refuses_profile_ids_outside_the_space(path, pid):
             ft.MeetOfIssues(("param:x",)),
         )),
     }[path]
-    want = rf"profile {pid} outside 0\.\.3"
     for first, second in ((pid, 0), (0, pid)):
         with pytest.raises(IndexOutOfRange, match=want):
             ft.decide(space, rule, agenda, first, second)

@@ -68,14 +68,15 @@ def test_common_and_distributed():
 
 def test_box_coalition():
     space, h = hiring()
-    assert ht.box_coalition(h, h.agents.everyone()) == h.lattice.top
+    alg = ht.HeteroAlgebra(h)
+    assert alg.box(h.agents.everyone()) == h.lattice.top
     # excluded agents force every issue missing from some outsider's agenda
-    assert ht.box_coalition(h, h.agents.nobody()).partition == \
+    assert alg.box(h.agents.nobody()).partition == \
         proj(space, ["p", "l"]).partition
     # duality with the common agenda on the Boolean lattice
     for members in ([], ["a"], ["b"], ["a", "b"]):
         c = h.agents.coalition(members)
-        box = ht.box_coalition(h, c)
+        box = alg.box(c)
         dia = ht.common_agenda(h, ~c)
         met = pt.meet(box.partition, dia.partition)
         joined = h.lattice.d_join([box, dia])
@@ -98,33 +99,35 @@ def test_box_requires_boolean():
         ht.RelevanceRelation([("sum:x<=0", "a")]), None,
     )
     with pytest.raises(NotBoolean):
-        ht.box_coalition(h, agents.everyone())
+        ht.HeteroAlgebra(h).box(agents.everyone())
 
 
 def test_blacksquare_and_blacktriangleright():
     space, h = hiring()
+    btr = ht.HeteroAlgebra(h).blacktriangleright
     pr = proj(space, ["p", "r"])
     assert ht.blacksquare(h, pr).members() == ("a",)
-    assert ht.blacktriangleright(h, pr).members() == ("a",)
+    assert btr(pr).members() == ("a",)
     assert ht.blacksquare(h, h.lattice.top).members() == ("a", "b")
     # the adjunction forces these two values: top <= rhd(c) iff c is empty
     # (both agents have relevant issues), and bottom <= rhd(c) always
-    assert ht.blacktriangleright(h, h.lattice.top).members() == ()
+    assert btr(h.lattice.top).members() == ()
     assert ht.blacksquare(h, h.lattice.bottom).members() == ()
-    assert ht.blacktriangleright(h, h.lattice.bottom).members() == ("a", "b")
+    assert btr(h.lattice.bottom).members() == ("a", "b")
     with pytest.raises(NotInLattice):
         ht.blacksquare(h, ft.Agenda(pt.Partition.pair_merge(space.n, 0, 1)))
 
 
 def test_adjunctions_exhaustive_hiring():
     _, h = hiring()
+    alg = ht.HeteroAlgebra(h)
     coalitions = [
         h.agents.coalition(m)
         for m in ([], ["a"], ["b"], ["a", "b"])
     ]
     for e in h.lattice.elements:
         bsq = ht.blacksquare(h, e)
-        btr = ht.blacktriangleright(h, e)
+        btr = alg.blacktriangleright(e)
         for c in coalitions:
             assert (
                 pt.refines(ht.common_agenda(h, c).partition, e.partition)

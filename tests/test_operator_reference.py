@@ -12,7 +12,8 @@ references in partition and label, and coalition results in members.
 The Boolean box is checked the same way, at every coalition, on Boolean
 lattices (where it is defined) and on the others (where both it and its
 reference refuse), and the influence modalities against
-``coalitions.influence_diamond`` and ``influence_box``.
+``coalitions.influence_diamond`` and ``influence_box``.  The residuals
+also answer on a lazy lattice, the same as on the materialized one.
 """
 
 import functools
@@ -145,9 +146,14 @@ def ref_star(h, agenda1, agenda2):
 
 
 def ref_residual_second(h, coalition, agenda):
+    """Meet of every element whose transform refines e.
+
+    Each winner is read through ``member_form``, so the meet names every
+    issue above a winner, duplicates of one partition included.
+    """
     target = h.lattice.member_form(agenda)
     winners = [
-        e
+        h.lattice.member_form(e)
         for e in h.lattice.elements
         if h.lattice.leq(ref_subst_transform(h, coalition, e), target)
     ]
@@ -177,9 +183,10 @@ def ref_brB(h, agenda1, agenda2):
 
 
 def ref_vartriangle(h, coalition, agenda):
+    """Meet of every element whose distributed transform e refines."""
     source = h.lattice.member_form(agenda)
     winners = [
-        e
+        h.lattice.member_form(e)
         for e in h.lattice.elements
         if h.lattice.leq(source, ref_br_transform(h, coalition, e))
     ]
@@ -347,7 +354,25 @@ def check_box(h):
                 alg.box(c)
             return
         same_agenda(alg.box(c), want)
-        same_agenda(ht.box_coalition(h, c), want)
+
+
+def check_lazy_residuals(h):
+    """The residuals on a lazy lattice of the same issues.
+
+    At every coalition and element they equal the materialized lattice's
+    in partition and label.
+    """
+    lazy = lt.build_lattice(h.lattice.issue_set, cap=0)
+    assert not lazy.materialized
+    alg = ht.HeteroAlgebra(h)
+    lazy_alg = ht.HeteroAlgebra(ht.HeteroStructure(
+        h.agents, lazy, h.influence, h.relevance, h.substitution,
+    ))
+    for mask in range(1 << len(h.agents)):
+        c = Coalition(h.agents, mask)
+        for e in h.lattice.elements:
+            same_agenda(lazy_alg.eqless(c, e), alg.eqless(c, e))
+            same_agenda(lazy_alg.triangle(c, e), alg.triangle(c, e))
 
 
 def argument_agendas(h, elements):
@@ -379,6 +404,7 @@ def test_random_bipartition_sets_match_references(h):
     """Generators that share a partition keep their own labels."""
     check_operators(h, argument_agendas(h, h.lattice.elements))
     check_box(h)
+    check_lazy_residuals(h)
 
 
 @PROPERTY_SETTINGS
@@ -398,13 +424,16 @@ def test_box_refuses_a_lazy_lattice():
         agents, lazy, relevance=ht.RelevanceRelation([("param:x", "a")])
     )
     with pytest.raises(NotBoolean, match="materialized"):
-        ht.box_coalition(h, agents.everyone())
+        ht.HeteroAlgebra(h).box(agents.everyone())
 
 
 @settings(max_examples=8, deadline=None, database=None)
 @given(st.data())
 def test_car_lattice_matches_references(data):
-    """Car's 64 elements: sampled arguments, scans on two of them."""
+    """Car's 64 elements: sampled arguments, scans on two of them.
+
+    The residuals on the lazy lattice are checked at every element.
+    """
     car = car_structure()
     assert len(car.lattice.elements) == 64
     h = data.draw(st.one_of(st.just(car), structures(car.lattice)))
@@ -414,6 +443,7 @@ def test_car_lattice_matches_references(data):
     agendas = argument_agendas(h, picks)
     check_operators(h, agendas, scans=False)
     check_box(h)
+    check_lazy_residuals(h)
     for e in agendas[:2]:
         for mask in range(1 << len(h.agents)):
             c = Coalition(h.agents, mask)

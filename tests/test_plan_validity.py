@@ -33,6 +33,8 @@ from agenda_algebra.logic.frames import (
 )
 from agenda_algebra.scenarios import BUNDLED, scenario_text
 
+from test_conditions import _random_frame as random_frame
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
@@ -343,6 +345,61 @@ def test_two_algebras_on_one_frame_share_no_entries():
     assert dict(second._cache) == {}
     second.pdra(3, 1)
     assert second._cache["pdra"] is not first._cache["pdra"]
+
+
+class NoAgendaScan(FrameAlgebra):
+    """A frame algebra whose agenda sort cannot be listed."""
+
+    def all_ia(self):
+        raise AssertionError("an operator enumerated the agenda sort")
+
+
+def ref_eqless(algebra, c, e):
+    """Join of every agenda whose transform refines e."""
+    out = 0
+    for cand in range(1 << algebra.nd):
+        if algebra.pdra(c, cand) & e == e:
+            out |= cand
+    return out
+
+
+def ref_triangle(algebra, c, e):
+    """Join of every agenda whose distributed transform e refines."""
+    out = 0
+    for cand in range(1 << algebra.nd):
+        if e & algebra.br(c, cand) == algebra.br(c, cand):
+            out |= cand
+    return out
+
+
+# the sort of each argument: coalition or agenda
+OPERATOR_ARGS = {
+    "diamond": "c", "rhd": "c", "blacksquare": "e", "blacktriangleright": "e",
+    "pdra": "ce", "star": "ee", "eqless": "ce", "br": "ce", "brB": "ee",
+    "triangle": "ce",
+}
+
+
+@pytest.mark.parametrize("nc, nd", itertools.product((1, 2, 3), repeat=2))
+def test_no_operator_enumerates_the_agenda_sort(nc, nd):
+    """Every operator at every argument, with ``all_ia`` refusing.
+
+    The residuals join the passing coatoms and must equal the references,
+    which join every passing agenda of the 2^nd; the other operators must
+    equal those of an algebra whose ``all_ia`` works.
+    """
+    assert set(OPERATOR_ARGS) == set(UNARY_OPS + BINARY_OPS)
+    refs = {"eqless": ref_eqless, "triangle": ref_triangle}
+    rng = random.Random(10 * nc + nd)
+    for p in (0.2, 0.3, 0.5, 0.8) * 3:
+        frame = random_frame(rng, nc, nd, p)
+        algebra, plain = NoAgendaScan(frame), FrameAlgebra(frame)
+        domain = {"c": range(1 << nc), "e": range(1 << nd)}
+        for name, sorts in OPERATOR_ARGS.items():
+            ref = refs.get(name, getattr(FrameAlgebra, name))
+            for args in itertools.product(*(domain[s] for s in sorts)):
+                got = getattr(algebra, name)(*args)
+                assert got == ref(plain, *args), (name, args, frame)
 
 
 def test_a_dropped_algebra_is_collected():
