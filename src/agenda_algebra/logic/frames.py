@@ -149,15 +149,12 @@ class FrameAlgebra:
     entry is the bottom).  For a frame the closure is the identity.
 
     No operator enumerates the agenda sort.  ``pdra(c, x)`` is an AND and
-    ``br(c, x)`` an OR of one entry per issue of closure(x), so an agenda
-    passes the test of a residual exactly when each of its issues does,
-    and ``eqless`` and ``triangle`` join the passing coatoms (Jónsson &
-    Tarski 1951: an additive operator is fixed by its values on
-    (co)atoms).
-    ``all_ia`` lists the 2^nd issue masks; given a lattice they name its
-    elements through the closure, with repeats.  Only lists of lattice
-    elements and the Boolean box need the lattice materialized, and
-    ``HeteroAlgebra`` builds both.
+    ``br(c, x)`` an OR over the issues of closure(x), so ``eqless`` and
+    ``triangle`` join the issues that pass alone (an additive operator is
+    fixed by its values on (co)atoms, Jónsson & Tarski 1951).  ``all_ia``
+    lists the 2^nd issue masks, read through the closure given a lattice;
+    only element lists and the box, both in ``HeteroAlgebra``, need the
+    lattice materialized.
 
     Each (operator, arguments) pair is computed once per instance and
     kept in ``self._cache[operator]``; unlike ``functools.cache`` on a
